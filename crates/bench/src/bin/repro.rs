@@ -13,7 +13,7 @@
 //! machine-readable `BENCH_repro.json` with per-cell timings.
 
 use oscache_bench::gate;
-use oscache_core::service::{self, RunRequest, Server, ServiceConfig};
+use oscache_core::service::{self, peak_rss_mb, RunRequest, Server, ServiceConfig};
 use oscache_core::supervise::{Journal, JournalError, JournalHeader};
 use oscache_core::{
     render_experiment, CellFailure, Escalation, Experiment, FailureCause, Repro, RunPolicy,
@@ -83,17 +83,6 @@ const SMOKE_SPILL_BUDGET_MB: u64 = 64;
 fn fail(class: &str, msg: &str, code: i32) -> ! {
     eprintln!("error: class={class} msg={msg:?}");
     std::process::exit(code);
-}
-
-/// The process's peak resident set size in MB, from `/proc/self/status`
-/// `VmHWM` (the kernel's high-water mark — monotone, so reading it after
-/// a phase bounds that phase's true footprint from above). `None` where
-/// the proc file is unavailable (non-Linux).
-fn peak_rss_mb() -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb / 1024.0)
 }
 
 /// The supervision options (DESIGN.md §13) shared by the experiment and
@@ -1015,7 +1004,7 @@ fn print_timings(r: &Repro, warm: &WarmStats) {
         );
     }
     println!(
-        "{:<46} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8} {:>6} {:>10}",
+        "{:<46} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8} {:>6} {:>10}",
         "",
         "total",
         "build",
@@ -1023,6 +1012,7 @@ fn print_timings(r: &Repro, warm: &WarmStats) {
         "analyze",
         "profile",
         "rewrite",
+        "validate",
         "sim",
         "decode",
         "spill",
@@ -1033,7 +1023,7 @@ fn print_timings(r: &Repro, warm: &WarmStats) {
     );
     for t in r.timings() {
         println!(
-            "cell  {:<40} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>8.1} {:>8.1} {:>8.1} {:>8} {:>6} {:>10}{}",
+            "cell  {:<40} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>8.1} {:>8.1} {:>8.1} {:>8} {:>6} {:>10}{}",
             compact_key(&t.key),
             t.ms,
             t.build_ms,
@@ -1041,6 +1031,7 @@ fn print_timings(r: &Repro, warm: &WarmStats) {
             t.analyze_ms,
             t.profile_ms,
             t.rewrite_ms,
+            t.validate_ms,
             t.sim_ms,
             t.decode_ms,
             t.spill_ms,
@@ -1064,6 +1055,7 @@ fn print_timings(r: &Repro, warm: &WarmStats) {
         warm.wall_ms,
         warm.cells.len()
     );
+    println!("validation walks {}", r.cache().validation_walks());
     if let Some(mb) = peak_rss_mb() {
         println!("peak RSS {mb:.1} MB");
     }
@@ -1310,7 +1302,7 @@ fn write_bench_json(path: &str, scale: f64, r: &Repro, warm: &WarmStats) {
     let cells = r.timings();
     for (i, t) in cells.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"key\": \"{}\", \"ms\": {:.1}, \"build_ms\": {:.1}, \"prepare_ms\": {:.1}, \"analyze_ms\": {:.1}, \"profile_ms\": {:.1}, \"rewrite_ms\": {:.1}, \"cached\": {}, \"sim_ms\": {:.1}, \"decode_ms\": {:.1}, \"spill_ms\": {:.1}, \"spilled_mb\": {:.1}, \"prefetch_hits\": {}, \"sched_order\": {}, \"os_misses\": {}}}{}\n",
+            "    {{\"key\": \"{}\", \"ms\": {:.1}, \"build_ms\": {:.1}, \"prepare_ms\": {:.1}, \"analyze_ms\": {:.1}, \"profile_ms\": {:.1}, \"rewrite_ms\": {:.1}, \"validate_ms\": {:.1}, \"cached\": {}, \"sim_ms\": {:.1}, \"decode_ms\": {:.1}, \"spill_ms\": {:.1}, \"spilled_mb\": {:.1}, \"prefetch_hits\": {}, \"sched_order\": {}, \"os_misses\": {}}}{}\n",
             compact_key(&t.key),
             t.ms,
             t.build_ms,
@@ -1318,6 +1310,7 @@ fn write_bench_json(path: &str, scale: f64, r: &Repro, warm: &WarmStats) {
             t.analyze_ms,
             t.profile_ms,
             t.rewrite_ms,
+            t.validate_ms,
             t.cached,
             t.sim_ms,
             t.decode_ms,

@@ -67,6 +67,9 @@ pub struct CellTiming {
     pub profile_ms: f64,
     /// Milliseconds of `prepare_ms` in the prefetch-insertion rewrite.
     pub rewrite_ms: f64,
+    /// Milliseconds of `prepare_ms` in validator walks (zero when earlier
+    /// cells already validated every trace this one replays).
+    pub validate_ms: f64,
     /// Whether the fully-prepared trace came straight from the cache
     /// (another cell with an identical fingerprint prepared it first).
     pub cached: bool,
@@ -300,6 +303,7 @@ impl Repro {
             analyze_ms: outcome.phases.analyze_ms,
             profile_ms: outcome.phases.profile_ms,
             rewrite_ms: outcome.phases.rewrite_ms,
+            validate_ms: outcome.phases.validate_ms,
             cached: outcome.phases.cached,
             sim_ms: outcome.sim_ms,
             decode_ms: outcome.decode_ms,

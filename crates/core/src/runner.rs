@@ -569,6 +569,22 @@ impl TraceCache {
     pub fn analyzed_len(&self) -> usize {
         lock_tolerant(&self.analyzed).len() + lock_tolerant(&self.analyzed_chunked).len()
     }
+
+    /// Validator walks the streaming pipeline has run over this cache's
+    /// traces: one per analysis working trace (the base trace for the
+    /// all-false prefix) plus one per materialized hot-spot rewrite
+    /// ([`AnalyzedCellChunked::validation_walks`], DESIGN.md §12.2).
+    pub fn validation_walks(&self) -> u64 {
+        let slots: Vec<_> = lock_tolerant(&self.analyzed_chunked)
+            .values()
+            .cloned()
+            .collect();
+        slots
+            .iter()
+            .filter_map(|slot| slot.get())
+            .map(|a| a.validation_walks())
+            .sum()
+    }
 }
 
 /// The on-disk identity a spill store binds for `key`'s trace build.
@@ -694,7 +710,8 @@ pub struct CellOutcome {
     /// was reused from an identical-fingerprint cell that already ran).
     pub sim_ms: f64,
     /// Breakdown of `prepare_ms` by phase (analysis / profiling replay /
-    /// prefetch rewrite), with `cached: true` on a whole-fingerprint hit.
+    /// prefetch rewrite / validation), with `cached: true` on a
+    /// whole-fingerprint hit.
     pub phases: PrepPhases,
     /// Milliseconds of `sim_ms` the final machine run spent in
     /// *synchronous* chunk decode (the stall decode-ahead hides; zero on

@@ -5,8 +5,9 @@ use crate::analysis;
 use crate::config::{Geometry, System, SystemSpec, UpdatePolicy};
 use crate::transform;
 use oscache_memsys::{AuditLevel, CancelToken, Machine, OverlapStats, PageSet, SimError, SimStats};
-use oscache_trace::{ChunkedTrace, Trace};
+use oscache_trace::{ChunkedTrace, Trace, TraceError};
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
 
@@ -92,9 +93,11 @@ pub struct PreparedCell {
     /// `trace` is `Some`, the base trace otherwise) passed
     /// [`Trace::validate`] during preparation. When set, the final machine
     /// run skips its own O(events) validation scan
-    /// ([`Machine::with_recording_prevalidated`]) — preparation is the
-    /// single validation point of the pipeline. Callers assembling a
-    /// `PreparedCell` by other means should leave this `false`.
+    /// ([`Machine::with_recording_prevalidated`]). This path validates once
+    /// per preparation, so a trace shared by several cells is walked once
+    /// per cell; the streaming path memoizes the walk per trace instead
+    /// (see [`AnalyzedCellChunked`]). Callers assembling a `PreparedCell`
+    /// by other means should leave this `false`.
     pub validated: bool,
 }
 
@@ -167,6 +170,11 @@ pub struct PrepPhases {
     pub rewrite_ms: f64,
     /// Whole-fingerprint cache hit: every phase was skipped.
     pub cached: bool,
+    /// Milliseconds in the validator walks this preparation actually ran:
+    /// the working trace's memoized check and a fresh hot-spot rewrite's
+    /// (zero when earlier preparations already validated every trace this
+    /// one uses).
+    pub validate_ms: f64,
 }
 
 /// Runs a fully-specified system with the machine's invariant auditor set
@@ -377,10 +385,10 @@ pub fn prepare_from_analysis_cancellable(
         phases.rewrite_ms = 1e3 * t1.elapsed().as_secs_f64();
     }
 
-    // Validate the working trace here, once, so the timed final run can
-    // skip its own scan. The base trace was validated when the machine of
-    // the profiling replay was built; a rewritten trace has not been seen
-    // by any machine yet, so this is its (single) validation point.
+    // Validate the working trace here so the timed final run can skip its
+    // own scan. This walks once per cell, a shared base trace included
+    // (the profiling replay's `Machine::new` walked it too); only the
+    // streaming path memoizes validation per trace.
     let working: &Trace = out.as_deref().unwrap_or(trace);
     working
         .validate_for_cpus(trace.n_cpus())
@@ -460,6 +468,20 @@ pub fn run_prepared_timed(
 
 /// [`AnalyzedCell`] for the streaming pipeline: the same
 /// geometry-independent prefix state over the chunked backbone.
+///
+/// It also carries the validation state of every trace it hands out, so
+/// each immutable trace is walked by the validator once per process:
+///
+/// * the *working trace* — the analysis's own rewrite, or the base trace
+///   when no prefix pass rewrote it — is validated lazily by the first
+///   preparation and the result (`Ok` or the typed [`TraceError`]) is
+///   memoized for every later one. An analysis with `trace == None` must
+///   therefore always be prepared against the same base trace;
+///   [`TraceCache`](crate::runner::TraceCache) keys analyses by base build
+///   so it is;
+/// * each hot-spot rewrite is validated right after materialization and
+///   before it is published in the hot-set cache, so a hit never sees an
+///   unvalidated trace.
 #[derive(Debug, Default)]
 pub struct AnalyzedCellChunked {
     /// Working trace after the prefix passes, or `None` (base is usable).
@@ -468,21 +490,56 @@ pub struct AnalyzedCellChunked {
     pub update_pages: PageSet,
     /// Per-site hot-spot insertion plan over the working trace.
     hot_plan: OnceLock<transform::HotspotPlan>,
-    /// Materialized hot-spot rewrites keyed by the hot-site vector, held
-    /// weakly (same rationale as [`AnalyzedCell::hot`]).
+    /// Materialized, validated hot-spot rewrites keyed by the hot-site
+    /// vector, held weakly (same rationale as [`AnalyzedCell::hot`]).
     hot: Mutex<HashMap<Vec<u16>, Weak<ChunkedTrace>>>,
+    /// Memoized validation of the working trace.
+    validated: OnceLock<Result<(), TraceError>>,
+    /// Validator walks run over this analysis's traces so far.
+    walks: AtomicU64,
 }
 
-/// [`PreparedCell`] for the streaming pipeline.
+impl AnalyzedCellChunked {
+    /// Validator walks run so far over this analysis's working trace and
+    /// its hot-spot rewrites: at most one for the working trace, plus one
+    /// per materialized rewrite.
+    pub fn validation_walks(&self) -> u64 {
+        self.walks.load(Ordering::Relaxed)
+    }
+
+    /// Walks `trace` through the validator, counting the walk and adding
+    /// its wall-clock milliseconds to `ms`.
+    fn walk(&self, trace: &ChunkedTrace, n_cpus: usize, ms: &mut f64) -> Result<(), TraceError> {
+        let t0 = Instant::now();
+        let checked = trace.validate_for_cpus(n_cpus);
+        self.walks.fetch_add(1, Ordering::Relaxed);
+        *ms += 1e3 * t0.elapsed().as_secs_f64();
+        checked
+    }
+
+    /// The working trace's validation result, walking it only on the first
+    /// call: every later call — and every concurrent caller, which blocks
+    /// on the first — gets the stored result, an `Err` included.
+    fn validate_working(&self, base: &ChunkedTrace, ms: &mut f64) -> Result<(), SimError> {
+        let working = self.trace.as_deref().unwrap_or(base);
+        self.validated
+            .get_or_init(|| self.walk(working, base.n_cpus(), ms))
+            .clone()
+            .map_err(SimError::from_trace)
+    }
+}
+
+/// [`PreparedCell`] for the streaming pipeline. Its working trace (the
+/// rewrite, or the base trace when `trace` is `None`) has always passed
+/// validation: [`prepare_from_analysis_chunked`] hands out nothing else,
+/// so the final run skips the validator walk. Callers assembling one by
+/// other means must validate its working trace first.
 #[derive(Clone, Debug)]
 pub struct PreparedCellChunked {
     /// The rewritten trace, or `None` when no pass touched it.
     pub trace: Option<Arc<ChunkedTrace>>,
     /// Pages mapped with the update protocol (§5.2).
     pub update_pages: PageSet,
-    /// Whether the working trace passed validation during preparation
-    /// (see [`PreparedCell::validated`]).
-    pub validated: bool,
 }
 
 /// [`analyze_cell`] over the chunked backbone: every pass streams
@@ -569,8 +626,7 @@ pub fn analyze_cell_chunked(trace: &ChunkedTrace, spec: SystemSpec) -> AnalyzedC
     AnalyzedCellChunked {
         trace: owned.map(Arc::new),
         update_pages,
-        hot_plan: OnceLock::new(),
-        hot: Mutex::new(HashMap::new()),
+        ..AnalyzedCellChunked::default()
     }
 }
 
@@ -596,6 +652,12 @@ pub fn prepare_from_analysis_chunked(
 /// hot-spot profiling replay pulls events through the machine's per-CPU
 /// decode windows, and the prefetch-insertion rewrite is the forward merge
 /// of [`transform::HotspotPlan::materialize_chunked`].
+///
+/// Validation is memoized on `analyzed` (see [`AnalyzedCellChunked`]):
+/// the working trace is walked once per analysis and each rewrite once at
+/// materialization, so neither the profiling replay nor the final run
+/// walks a trace again. A malformed working trace fails every preparation
+/// that uses it with the same typed error.
 pub fn prepare_from_analysis_chunked_cancellable(
     trace: &ChunkedTrace,
     analyzed: &AnalyzedCellChunked,
@@ -605,6 +667,7 @@ pub fn prepare_from_analysis_chunked_cancellable(
     cancel: &CancelToken,
 ) -> Result<(PreparedCellChunked, PrepPhases), SimError> {
     let mut phases = PrepPhases::default();
+    analyzed.validate_working(trace, &mut phases.validate_ms)?;
     let mut out = analyzed.trace.clone();
 
     if spec.hotspot_prefetch {
@@ -614,16 +677,17 @@ pub fn prepare_from_analysis_chunked_cancellable(
         cfg.n_cpus = trace.n_cpus();
         cfg.update_pages = analyzed.update_pages.clone();
         cfg.cancel = cancel.clone();
-        let profile_stats = if audit == AuditLevel::Off {
-            oscache_memsys::profile_os_misses_chunked(cfg, working)?
-        } else {
-            cfg.audit = audit;
-            Machine::new_chunked(cfg, working)?.run()?
-        };
+        // The bookkeeping-free replay unless an auditor needs the recorded
+        // histories (see `oscache_memsys::profiler`).
+        let record = audit != AuditLevel::Off;
+        cfg.audit = audit;
+        let profile_stats =
+            Machine::with_recording_prevalidated_chunked(cfg, working, record)?.run()?;
         let hot = analysis::find_hot_spots(&profile_stats.total(), &working.meta.code);
         phases.profile_ms = 1e3 * t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
+        let mut walk_ms = 0.0;
         let hit = analyzed
             .hot
             .lock()
@@ -637,6 +701,11 @@ pub fn prepare_from_analysis_chunked_cancellable(
                     .hot_plan
                     .get_or_init(|| transform::HotspotPlan::build_chunked(working));
                 let t = Arc::new(plan.materialize_chunked(working, &hot));
+                // Validate before publishing, so a hot-set hit never sees
+                // an unvalidated rewrite.
+                analyzed
+                    .walk(&t, trace.n_cpus(), &mut walk_ms)
+                    .map_err(SimError::from_trace)?;
                 // First live writer wins, so concurrent preparers agree.
                 let mut map = analyzed.hot.lock().expect("hot cache poisoned");
                 match map.get(&hot).and_then(Weak::upgrade) {
@@ -649,21 +718,14 @@ pub fn prepare_from_analysis_chunked_cancellable(
             }
         };
         out = Some(rewritten);
-        phases.rewrite_ms = 1e3 * t1.elapsed().as_secs_f64();
+        phases.rewrite_ms = 1e3 * t1.elapsed().as_secs_f64() - walk_ms;
+        phases.validate_ms += walk_ms;
     }
-
-    // Single validation point, as in the flat pipeline: the chunk walk
-    // decodes one window at a time.
-    let working: &ChunkedTrace = out.as_deref().unwrap_or(trace);
-    working
-        .validate_for_cpus(trace.n_cpus())
-        .map_err(SimError::from_trace)?;
 
     Ok((
         PreparedCellChunked {
             trace: out,
             update_pages: analyzed.update_pages.clone(),
-            validated: true,
         },
         phases,
     ))
@@ -712,11 +774,8 @@ pub fn run_prepared_chunked_timed(
     cfg.audit = audit;
     cfg.cancel = cancel.clone();
     let working = prepared.trace.as_deref().unwrap_or(trace);
-    let mut machine = if prepared.validated {
-        Machine::with_recording_prevalidated_chunked(cfg, working, true)?
-    } else {
-        Machine::new_chunked(cfg, working)?
-    };
+    // Preparation validated the working trace (see `PreparedCellChunked`).
+    let mut machine = Machine::with_recording_prevalidated_chunked(cfg, working, true)?;
     let stats = machine.run_mut()?;
     Ok((
         RunResult {

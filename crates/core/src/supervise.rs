@@ -81,6 +81,14 @@ impl<T: Clone> OnceSlot<T> {
         }
     }
 
+    /// The stored value, or `None` while the slot is empty or building.
+    pub(crate) fn get(&self) -> Option<T> {
+        match &*lock_tolerant(&self.state) {
+            SlotState::Ready(v) => Some(v.clone()),
+            SlotState::Empty | SlotState::Building => None,
+        }
+    }
+
     /// Returns the stored value, running `build` (outside the lock) if the
     /// slot is empty. Concurrent callers block until the single builder
     /// finishes; if the builder panics the slot is reset to empty, one

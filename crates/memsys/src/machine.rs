@@ -419,6 +419,13 @@ impl<'t> Machine<'t> {
     }
 
     /// [`Machine::with_recording_prevalidated`] over a chunked trace.
+    ///
+    /// The streaming pipeline builds every machine through this
+    /// constructor: `oscache-core` validates each immutable trace once per
+    /// process (an analysis's working trace on first use, each hot-spot
+    /// rewrite when it is materialized) and memoizes the result, so
+    /// neither the profiling replay (`record = false`) nor the final run
+    /// walks the trace again.
     pub fn with_recording_prevalidated_chunked(
         cfg: MachineConfig,
         trace: &'t ChunkedTrace,
@@ -442,13 +449,14 @@ impl<'t> Machine<'t> {
     /// [`Machine::with_recording`] minus the full-trace validation scan.
     ///
     /// `Trace::validate` walks every event — a few milliseconds on real
-    /// traces, which [`Machine::new`] pays *per construction* even though a
-    /// pipeline typically validates a trace once and then replays it
-    /// several times (profiling replay, final run, differential oracle).
-    /// This constructor is for exactly that caller: it demands that the
+    /// traces, which [`Machine::new`] pays *per construction*. A pipeline
+    /// that replays one trace several times (profiling replay, final run,
+    /// several geometries, differential oracle) should validate it once
+    /// and build each machine here. This constructor demands that the
     /// same, unmodified trace has already passed [`Trace::validate`]
-    /// (asserted in debug builds), and keeps only the O(1) CPU-count check
-    /// that the replay loops' stream indexing depends on.
+    /// (asserted in debug builds, where the assertion itself walks the
+    /// trace), and keeps only the O(1) CPU-count check that the replay
+    /// loops' stream indexing depends on.
     ///
     /// Replaying a trace that was *not* validated stays memory-safe and
     /// panic-free — the loops re-check dynamically everything they rely on

@@ -31,6 +31,11 @@ use crate::{
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
+/// The largest `cpus N` a trace dump may declare. The reader allocates one
+/// stream builder per declared CPU before any event arrives, so the count
+/// is bounded first; the simulated machines use at most 8.
+pub const MAX_DUMP_CPUS: usize = 256;
+
 /// Errors produced while reading a serialized trace.
 #[derive(Debug)]
 pub enum ReadTraceError {
@@ -302,7 +307,8 @@ impl Parser {
 /// # Errors
 ///
 /// Returns [`ReadTraceError::Parse`] when the input deviates from the
-/// format (wrong magic, unknown event letter, missing fields),
+/// format (wrong magic, unknown event letter, missing fields, a `cpus`
+/// count above [`MAX_DUMP_CPUS`]),
 /// [`ReadTraceError::Truncated`] when the input ends before the trailing
 /// `end` marker, and [`ReadTraceError::Io`] on reader failures.
 pub fn read_trace<R: BufRead>(r: R) -> Result<Trace, ReadTraceError> {
@@ -368,6 +374,11 @@ pub fn read_trace_chunked<R: BufRead>(r: R) -> Result<ChunkedTrace, ReadTraceErr
                 }
                 cpus_declared = true;
                 n_cpus = p.num(arg(&p)?)?;
+                if n_cpus > MAX_DUMP_CPUS {
+                    return p.err(format!(
+                        "`cpus {n_cpus}` exceeds the limit of {MAX_DUMP_CPUS}"
+                    ));
+                }
                 builders = (0..n_cpus).map(|_| ChunkedStreamBuilder::new()).collect();
                 seen_streams = vec![false; n_cpus];
             }
@@ -665,6 +676,22 @@ mod tests {
         let input = b"oscache-trace 1\nworkload x\ncpus 1\nsite s seq\nblock 1000 0 0\nend\n";
         let err = read_trace(&input[..]).unwrap_err();
         assert!(err.to_string().contains("zero instructions"), "{err}");
+    }
+
+    #[test]
+    fn rejects_cpu_count_above_the_cap_before_allocating() {
+        let input = b"oscache-trace 1\nworkload x\ncpus 1000000000\nend\n";
+        match read_trace_chunked(&input[..]) {
+            Err(ReadTraceError::Parse { line: 3, msg }) => {
+                assert!(msg.contains("exceeds the limit of 256"), "{msg}")
+            }
+            other => panic!("expected a parse error on line 3, got {other:?}"),
+        }
+        let at_cap = format!("oscache-trace 1\nworkload x\ncpus {MAX_DUMP_CPUS}\nend\n");
+        assert!(!matches!(
+            read_trace_chunked(at_cap.as_bytes()),
+            Err(ReadTraceError::Parse { .. })
+        ));
     }
 
     #[test]

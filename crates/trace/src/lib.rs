@@ -55,7 +55,7 @@ pub use chunk::{ChunkedStream, ChunkedStreamBuilder, ChunkedTrace, CHUNK_EVENTS}
 pub use class::{CoherenceCategory, DataClass};
 pub use code::{BasicBlock, BlockId, CodeLayout, SiteId, SiteInfo};
 pub use event::{BarrierId, BlockKind, BlockOp, Event, LockId, Mode};
-pub use io::{read_trace, read_trace_chunked, write_trace, ReadTraceError};
+pub use io::{read_trace, read_trace_chunked, write_trace, ReadTraceError, MAX_DUMP_CPUS};
 pub use spill::{
     spill_enabled, IoFaultClass, IoFaultPlan, MemBudget, SpillError, SpillErrorKind, SpillStore,
     SpillTarget, StoreIdentity,
