@@ -8,7 +8,7 @@
 use oscache_core::runner::{run_cells, Cell};
 use oscache_core::{default_jobs, run_spec, Geometry, System, TraceCache, UpdatePolicy};
 use oscache_memsys::{Machine, MachineConfig, SimStats};
-use oscache_trace::Trace;
+use oscache_trace::ChunkedTrace;
 use oscache_workloads::{BuildOptions, Workload};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -28,8 +28,8 @@ fn opts() -> BuildOptions {
     }
 }
 
-fn trfd() -> Arc<Trace> {
-    cache().base(Workload::Trfd4, opts())
+fn trfd() -> Arc<ChunkedTrace> {
+    cache().base_chunked(Workload::Trfd4, opts())
 }
 
 fn timed<R>(group: &str, label: &str, f: impl Fn() -> R) -> R {

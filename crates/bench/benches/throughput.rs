@@ -4,7 +4,7 @@
 
 use oscache_core::{Geometry, System, TraceCache};
 use oscache_memsys::{Machine, MachineConfig};
-use oscache_workloads::{build, BuildOptions, Workload};
+use oscache_workloads::{build_chunked, BuildOptions, Workload};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -47,7 +47,7 @@ fn bench(group: &str, label: &str, events: u64, mut f: impl FnMut()) {
 
 fn bench_workload_replay() {
     for w in Workload::all() {
-        let trace = cache().base(w, opts());
+        let trace = cache().base_chunked(w, opts());
         let events = trace.total_events() as u64;
         bench("replay_base", w.name(), events, || {
             let s = Machine::new(MachineConfig::base(), &trace)
@@ -61,7 +61,7 @@ fn bench_workload_replay() {
 
 fn bench_schemes() {
     // Cache hit: bench_workload_replay already built this trace.
-    let trace = cache().base(Workload::Trfd4, opts());
+    let trace = cache().base_chunked(Workload::Trfd4, opts());
     let events = trace.total_events() as u64;
     for sys in [
         System::Base,
@@ -81,7 +81,7 @@ fn bench_schemes() {
 fn bench_trace_generation() {
     for w in Workload::all() {
         bench("generate", w.name(), 0, || {
-            let t = build(
+            let t = build_chunked(
                 w,
                 BuildOptions {
                     scale: SCALE,

@@ -1068,11 +1068,33 @@ fn bool_field(v: &Json, name: &str) -> Result<bool, String> {
 // Socket layer
 // ---------------------------------------------------------------------------
 
+/// The longest request line the service accepts, newline excluded. Every
+/// real request is a few hundred bytes; a client that sends more without
+/// a newline gets one `request-too-large` error and is disconnected.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
+
+/// What [`LineReader::read_line`] produced.
+enum ReadLine {
+    /// One complete line, newline stripped.
+    Line(String),
+    /// The pending line grew past [`MAX_REQUEST_LINE`] without a newline.
+    TooLarge,
+    /// EOF, or `stop` was set while the connection was idle.
+    Closed,
+}
+
 /// Accumulates stream bytes into lines, surviving read timeouts (the
 /// serve loops set one so idle connections observe the stop flag).
+///
+/// Each read's bytes are scanned for `\n` once (`scanned` marks how far
+/// the pending line has been searched), so a long line costs linear time,
+/// and the pending line is bounded by [`MAX_REQUEST_LINE`].
 struct LineReader {
     buf: Vec<u8>,
+    /// Start of the pending (not yet returned) line in `buf`.
     pos: usize,
+    /// Bytes of `buf[pos..]` already searched without finding a newline.
+    scanned: usize,
 }
 
 impl LineReader {
@@ -1080,27 +1102,33 @@ impl LineReader {
         LineReader {
             buf: Vec::new(),
             pos: 0,
+            scanned: 0,
         }
     }
 
-    /// Reads one line; `Ok(None)` on EOF or once `stop` is set while the
-    /// connection is idle.
-    fn read_line<S: Read>(
-        &mut self,
-        s: &mut S,
-        stop: &AtomicBool,
-    ) -> std::io::Result<Option<String>> {
+    /// Reads one line.
+    fn read_line<S: Read>(&mut self, s: &mut S, stop: &AtomicBool) -> std::io::Result<ReadLine> {
         loop {
-            if let Some(nl) = self.buf[self.pos..].iter().position(|&b| b == b'\n') {
-                let line = String::from_utf8_lossy(&self.buf[self.pos..self.pos + nl]).into_owned();
-                self.pos += nl + 1;
-                return Ok(Some(line));
+            let from = self.pos + self.scanned;
+            if let Some(nl) = self.buf[from..].iter().position(|&b| b == b'\n') {
+                let end = from + nl;
+                if end - self.pos > MAX_REQUEST_LINE {
+                    return Ok(ReadLine::TooLarge);
+                }
+                let line = String::from_utf8_lossy(&self.buf[self.pos..end]).into_owned();
+                self.pos = end + 1;
+                self.scanned = 0;
+                return Ok(ReadLine::Line(line));
+            }
+            self.scanned = self.buf.len() - self.pos;
+            if self.scanned > MAX_REQUEST_LINE {
+                return Ok(ReadLine::TooLarge);
             }
             self.buf.drain(..self.pos);
             self.pos = 0;
             let mut chunk = [0u8; 4096];
             match s.read(&mut chunk) {
-                Ok(0) => return Ok(None),
+                Ok(0) => return Ok(ReadLine::Closed),
                 Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
                 Err(e)
                     if matches!(
@@ -1109,7 +1137,7 @@ impl LineReader {
                     ) =>
                 {
                     if stop.load(Ordering::SeqCst) {
-                        return Ok(None);
+                        return Ok(ReadLine::Closed);
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -1133,8 +1161,15 @@ pub fn handle_connection<S: Read + Write>(server: &Server, stream: &mut S, stop:
     let mut reader = LineReader::new();
     loop {
         let line = match reader.read_line(stream, stop) {
-            Ok(Some(line)) => line,
-            Ok(None) | Err(_) => return,
+            Ok(ReadLine::Line(line)) => line,
+            Ok(ReadLine::TooLarge) => {
+                let msg = format!(
+                    "request-too-large: a request line is limited to {MAX_REQUEST_LINE} bytes"
+                );
+                let _ = write_line(stream, &reply_line(&Reply::Error(msg)));
+                return;
+            }
+            Ok(ReadLine::Closed) | Err(_) => return,
         };
         if line.trim().is_empty() {
             continue;

@@ -5,22 +5,11 @@ use crate::analysis;
 use crate::config::{Geometry, System, SystemSpec, UpdatePolicy};
 use crate::transform;
 use oscache_memsys::{AuditLevel, CancelToken, Machine, OverlapStats, PageSet, SimError, SimStats};
-use oscache_trace::{ChunkedTrace, Trace, TraceError};
+use oscache_trace::{ChunkedTrace, TraceError};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
-
-/// Whether the streaming chunked pipeline is active (the default). Setting
-/// `REPRO_NO_STREAMING` to any non-empty value other than `0` routes every
-/// run through the materialized flat-`Vec` path instead — the equivalence
-/// oracle CI pins goldens against. Mirrors the `REPRO_NO_SPECIALIZE` gate.
-pub fn streaming_enabled() -> bool {
-    match std::env::var_os("REPRO_NO_STREAMING") {
-        Some(v) => v.is_empty() || v == "0",
-        None => true,
-    }
-}
 
 /// The outcome of simulating one (workload, system, geometry) point.
 #[derive(Clone, Debug)]
@@ -39,13 +28,13 @@ pub struct RunResult {
 ///
 /// Panics on a malformed trace or a simulator invariant violation; use
 /// [`try_run_system`] to receive those as typed errors instead.
-pub fn run_system(trace: &Trace, system: System) -> RunResult {
+pub fn run_system(trace: &ChunkedTrace, system: System) -> RunResult {
     run_spec(trace, system.spec(), Geometry::default())
 }
 
 /// Fallible variant of [`run_system`]: malformed traces and invariant
 /// violations come back as a typed [`SimError`].
-pub fn try_run_system(trace: &Trace, system: System) -> Result<RunResult, SimError> {
+pub fn try_run_system(trace: &ChunkedTrace, system: System) -> Result<RunResult, SimError> {
     try_run_spec_audited(trace, system.spec(), Geometry::default(), AuditLevel::Off)
 }
 
@@ -59,55 +48,27 @@ pub fn try_run_system(trace: &Trace, system: System) -> Result<RunResult, SimErr
 /// 3. for hot-spot prefetching (§6), first run a *profiling* simulation of
 ///    the system without prefetches, rank sites by OS misses, insert
 ///    prefetches at the top 12, then run the final simulation.
-pub fn run_spec(trace: &Trace, spec: SystemSpec, geometry: Geometry) -> RunResult {
+pub fn run_spec(trace: &ChunkedTrace, spec: SystemSpec, geometry: Geometry) -> RunResult {
     try_run_spec_audited(trace, spec, geometry, AuditLevel::Off)
         .unwrap_or_else(|e| panic!("simulation failed: {e}"))
 }
 
 /// Fallible variant of [`run_spec`] with no invariant auditing.
 pub fn try_run_spec(
-    trace: &Trace,
+    trace: &ChunkedTrace,
     spec: SystemSpec,
     geometry: Geometry,
 ) -> Result<RunResult, SimError> {
     try_run_spec_audited(trace, spec, geometry, AuditLevel::Off)
 }
 
-/// A trace fully prepared for its final machine run: every software pass
-/// of the spec (deferred copy, coloring, privatize/relocate/update
-/// planning, hot-spot prefetch insertion) has been applied.
-///
-/// Preparation is deterministic: equal `(trace, spec, geometry, audit)`
-/// inputs always produce an identical `PreparedCell`, which is what lets
-/// the runner's cache share prepared traces across experiments keyed by a
-/// config fingerprint.
-#[derive(Clone, Debug)]
-pub struct PreparedCell {
-    /// The rewritten trace, or `None` when no pass touched it (run the
-    /// original). Shared: several cells that converge on the same rewrite
-    /// (e.g. two geometries with the same hot set) hold one allocation.
-    pub trace: Option<Arc<Trace>>,
-    /// Pages mapped with the update protocol (§5.2).
-    pub update_pages: PageSet,
-    /// Whether the *working* trace of this cell (the rewritten trace when
-    /// `trace` is `Some`, the base trace otherwise) passed
-    /// [`Trace::validate`] during preparation. When set, the final machine
-    /// run skips its own O(events) validation scan
-    /// ([`Machine::with_recording_prevalidated`]). This path validates once
-    /// per preparation, so a trace shared by several cells is walked once
-    /// per cell; the streaming path memoizes the walk per trace instead
-    /// (see [`AnalyzedCellChunked`]). Callers assembling a `PreparedCell`
-    /// by other means should leave this `false`.
-    pub validated: bool,
-}
-
 /// The geometry-independent keys of a [`SystemSpec`]: two specs with equal
-/// prefixes produce identical [`AnalyzedCell`]s for the same base trace,
-/// whatever their geometry or `hotspot_prefetch` flag. This is the
+/// prefixes produce identical [`AnalyzedCellChunked`]s for the same base
+/// trace, whatever their geometry or `hotspot_prefetch` flag. This is the
 /// analysis-cache key — e.g. `BCoh_RelUp` and `BCPref` share one entry.
 ///
-/// Soundness: every pass in [`analyze_cell`] reads only these flags and
-/// the trace. Page coloring also reads the L2 size, which [`Geometry`]
+/// Soundness: every pass in [`analyze_cell_chunked`] reads only these flags
+/// and the trace. Page coloring also reads the L2 size, which [`Geometry`]
 /// never varies (it has no L2-size field; see
 /// [`Geometry::machine_config`]).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -137,28 +98,6 @@ impl AnalysisPrefix {
     }
 }
 
-/// The geometry-independent half of cell preparation: the working trace
-/// after every software rewrite that precedes hot-spot profiling, plus the
-/// update-page set, plus lazily-built hot-spot machinery shared by every
-/// geometry probing this trace.
-#[derive(Debug, Default)]
-pub struct AnalyzedCell {
-    /// Working trace after the prefix passes, or `None` (base is usable).
-    pub trace: Option<Arc<Trace>>,
-    /// Pages mapped with the update protocol (§5.2).
-    pub update_pages: PageSet,
-    /// Per-site hot-spot insertion plan over the working trace, built on
-    /// the first hotspot-using preparation.
-    hot_plan: OnceLock<transform::HotspotPlan>,
-    /// Materialized hot-spot rewrites keyed by the hot-site vector: two
-    /// geometries that rank the same hot set share one rewritten trace.
-    /// Held weakly — a rewrite is used by exactly one simulation in the
-    /// common case, and pinning every retired multi-megabyte trace for the
-    /// whole run grows the process footprint until fresh allocations fault
-    /// at host-paging speed (see DESIGN.md §12.3).
-    hot: Mutex<HashMap<Vec<u16>, Weak<Trace>>>,
-}
-
 /// Wall-clock breakdown of one cell preparation.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PrepPhases {
@@ -177,297 +116,10 @@ pub struct PrepPhases {
     pub validate_ms: f64,
 }
 
-/// Runs a fully-specified system with the machine's invariant auditor set
-/// to `audit`, returning trace and invariant problems as typed errors.
-pub fn try_run_spec_audited(
-    trace: &Trace,
-    spec: SystemSpec,
-    geometry: Geometry,
-    audit: AuditLevel,
-) -> Result<RunResult, SimError> {
-    let prepared = prepare_cell(trace, spec, geometry, audit)?;
-    run_prepared(trace, &prepared, spec, geometry, audit)
-}
-
-/// The preparation half of [`try_run_spec_audited`]: applies every
-/// software pass (including the hot-spot profiling simulation, which is
-/// itself a deterministic single-threaded run).
-///
-/// Composition of the two cacheable phases; callers that prepare several
-/// geometries of one spec should call [`analyze_cell`] once and
-/// [`prepare_from_analysis`] per geometry instead (the runner's
-/// [`TraceCache`](crate::runner::TraceCache) does).
-pub fn prepare_cell(
-    trace: &Trace,
-    spec: SystemSpec,
-    geometry: Geometry,
-    audit: AuditLevel,
-) -> Result<PreparedCell, SimError> {
-    let analyzed = analyze_cell(trace, spec);
-    let (prepared, _phases) = prepare_from_analysis(trace, &analyzed, spec, geometry, audit)?;
-    Ok(prepared)
-}
-
-/// The geometry-independent preparation prefix: deferred copy, page
-/// coloring, sharing profiling, privatization/relocation/update planning,
-/// and the fused rewrite. Deterministic in `(trace, AnalysisPrefix::of
-/// (spec))`; infallible because no machine runs here.
-pub fn analyze_cell(trace: &Trace, spec: SystemSpec) -> AnalyzedCell {
-    let mut update_pages = PageSet::new();
-    let mut owned: Option<Trace> = None;
-
-    if spec.deferred_copy {
-        owned = Some(crate::deferred::apply_deferred_copy(
-            owned.as_ref().unwrap_or(trace),
-        ));
-    }
-
-    if spec.page_coloring {
-        // Coloring materializes before planning: the sharing profile and
-        // the hot-spot profiling run must observe colored addresses
-        // exactly as the sequential pass chain produced them. The L2 size
-        // is geometry-independent (every Geometry maps to the base 256-KB
-        // L2), which is what lets this whole phase be geometry-free.
-        let l2_size = Geometry::default().machine_config(&spec).l2.size;
-        let working = owned.as_ref().unwrap_or(trace);
-        let colored = transform::TransformPipeline::new()
-            .coloring(working, l2_size)
-            .run(working);
-        owned = Some(colored);
-    }
-
-    if spec.privatize || spec.relocate || spec.update != UpdatePolicy::None {
-        let working = owned.as_ref().unwrap_or(trace);
-        let profile = analysis::profile_sharing(working);
-        let privatized = if spec.privatize {
-            analysis::find_privatizable(&profile)
-        } else {
-            Vec::new()
-        };
-        // Build one combined relocation plan: update-set members go to the
-        // update page; other falsely-shared variables get their own lines.
-        let mut plan = transform::RelocationMap::new();
-        let mut placed: HashSet<u32> = HashSet::new();
-        if spec.update == UpdatePolicy::Selective {
-            let set = analysis::find_update_set(&profile, &privatized);
-            let (upd_plan, pages) = transform::update_page_plan(working, &set);
-            update_pages = pages.into_iter().collect();
-            // Record which variables the update plan placed.
-            for w in set.all_words() {
-                if let Some(v) = working.meta.var_at(w) {
-                    placed.insert(v.addr.0);
-                } else {
-                    placed.insert(w.0);
-                }
-            }
-            plan = upd_plan;
-        }
-        if spec.relocate {
-            let fs = transform::false_sharing_plan(working, &placed);
-            // Merge: false-sharing moves for anything not already placed.
-            for v in &working.meta.vars {
-                if v.false_shared_group.is_some()
-                    && !placed.contains(&v.addr.0)
-                    && plan.lookup(v.addr).is_none()
-                {
-                    if let Some(new) = fs.lookup(v.addr) {
-                        plan.add(v.addr, v.size, new);
-                    }
-                }
-            }
-        }
-        plan.finish();
-        // One fused walk applies privatization and relocation together —
-        // the old chain cloned and rewrote the trace once per pass.
-        let mut pipe = transform::TransformPipeline::new();
-        if spec.privatize && !privatized.is_empty() {
-            pipe = pipe.privatize(&privatized);
-        }
-        if !plan.is_empty() {
-            pipe = pipe.relocate(&plan);
-        }
-        let rewritten = pipe.run(working);
-        owned = Some(rewritten);
-    }
-
-    if spec.update == UpdatePolicy::Full {
-        let working = owned.as_ref().unwrap_or(trace);
-        update_pages = transform::full_update_pages(working).into_iter().collect();
-    }
-
-    AnalyzedCell {
-        trace: owned.map(Arc::new),
-        update_pages,
-        hot_plan: OnceLock::new(),
-        hot: Mutex::new(HashMap::new()),
-    }
-}
-
-/// The geometry-dependent preparation suffix: the hot-spot profiling
-/// replay, hot-site ranking, and prefetch-insertion rewrite. For specs
-/// without `hotspot_prefetch` this just repackages the analysis.
-///
-/// With `audit == Off` the profiling run uses the bookkeeping-free
-/// [`profile_os_misses`](oscache_memsys::profile_os_misses) replay, whose
-/// per-site OS miss counts are exact by construction; any higher audit
-/// level falls back to the fully-recorded [`Machine`] so the step/final
-/// auditors see the bookkeeping they cross-check (see `DESIGN.md` §12).
-/// The rewrite is served from the analysis's hot-set cache when another
-/// geometry already ranked the same sites.
-pub fn prepare_from_analysis(
-    trace: &Trace,
-    analyzed: &AnalyzedCell,
-    spec: SystemSpec,
-    geometry: Geometry,
-    audit: AuditLevel,
-) -> Result<(PreparedCell, PrepPhases), SimError> {
-    prepare_from_analysis_cancellable(trace, analyzed, spec, geometry, audit, &CancelToken::none())
-}
-
-/// [`prepare_from_analysis`] with a cooperative-cancellation token wired
-/// into the profiling replay (the only machine run in this phase; the
-/// analysis transforms themselves are not cancellation points, so a
-/// cancellation grace period must absorb them).
-pub fn prepare_from_analysis_cancellable(
-    trace: &Trace,
-    analyzed: &AnalyzedCell,
-    spec: SystemSpec,
-    geometry: Geometry,
-    audit: AuditLevel,
-    cancel: &CancelToken,
-) -> Result<(PreparedCell, PrepPhases), SimError> {
-    let mut phases = PrepPhases::default();
-    let mut out = analyzed.trace.clone();
-
-    if spec.hotspot_prefetch {
-        let working: &Trace = analyzed.trace.as_deref().unwrap_or(trace);
-        // Profiling run without the prefetches.
-        let t0 = Instant::now();
-        let mut cfg = geometry.machine_config(&spec);
-        cfg.n_cpus = trace.n_cpus();
-        cfg.update_pages = analyzed.update_pages.clone();
-        cfg.cancel = cancel.clone();
-        let profile_stats = if audit == AuditLevel::Off {
-            oscache_memsys::profile_os_misses(cfg, working)?
-        } else {
-            cfg.audit = audit;
-            Machine::new(cfg, working)?.run()?
-        };
-        let hot = analysis::find_hot_spots(&profile_stats.total(), &working.meta.code);
-        phases.profile_ms = 1e3 * t0.elapsed().as_secs_f64();
-
-        let t1 = Instant::now();
-        let hit = analyzed
-            .hot
-            .lock()
-            .expect("hot cache poisoned")
-            .get(&hot)
-            .and_then(Weak::upgrade);
-        let rewritten = match hit {
-            Some(t) => t,
-            None => {
-                let plan = analyzed
-                    .hot_plan
-                    .get_or_init(|| transform::HotspotPlan::build(working));
-                let t = Arc::new(plan.materialize(working, &hot));
-                // First live writer wins, so concurrent preparers agree.
-                let mut map = analyzed.hot.lock().expect("hot cache poisoned");
-                match map.get(&hot).and_then(Weak::upgrade) {
-                    Some(existing) => existing,
-                    None => {
-                        map.insert(hot, Arc::downgrade(&t));
-                        t
-                    }
-                }
-            }
-        };
-        out = Some(rewritten);
-        phases.rewrite_ms = 1e3 * t1.elapsed().as_secs_f64();
-    }
-
-    // Validate the working trace here so the timed final run can skip its
-    // own scan. This walks once per cell, a shared base trace included
-    // (the profiling replay's `Machine::new` walked it too); only the
-    // streaming path memoizes validation per trace.
-    let working: &Trace = out.as_deref().unwrap_or(trace);
-    working
-        .validate_for_cpus(trace.n_cpus())
-        .map_err(SimError::from_trace)?;
-
-    Ok((
-        PreparedCell {
-            trace: out,
-            update_pages: analyzed.update_pages.clone(),
-            validated: true,
-        },
-        phases,
-    ))
-}
-
-/// The execution half of [`try_run_spec_audited`]: one deterministic
-/// single-threaded machine run over the prepared trace.
-pub fn run_prepared(
-    trace: &Trace,
-    prepared: &PreparedCell,
-    spec: SystemSpec,
-    geometry: Geometry,
-    audit: AuditLevel,
-) -> Result<RunResult, SimError> {
-    run_prepared_cancellable(trace, prepared, spec, geometry, audit, &CancelToken::none())
-}
-
-/// [`run_prepared`] with a cooperative-cancellation token wired into the
-/// machine's event loop; a tripped token surfaces as
-/// [`SimErrorKind::Cancelled`](oscache_memsys::SimErrorKind::Cancelled).
-pub fn run_prepared_cancellable(
-    trace: &Trace,
-    prepared: &PreparedCell,
-    spec: SystemSpec,
-    geometry: Geometry,
-    audit: AuditLevel,
-    cancel: &CancelToken,
-) -> Result<RunResult, SimError> {
-    run_prepared_timed(trace, prepared, spec, geometry, audit, cancel).map(|(r, _)| r)
-}
-
-/// [`run_prepared_cancellable`] that also reports the machine's
-/// decode-overlap telemetry ([`OverlapStats`]). On the materialized flat
-/// path there is nothing to decode, so the telemetry is all zeros — the
-/// variant exists so the runner threads one shape through both engines.
-pub fn run_prepared_timed(
-    trace: &Trace,
-    prepared: &PreparedCell,
-    spec: SystemSpec,
-    geometry: Geometry,
-    audit: AuditLevel,
-    cancel: &CancelToken,
-) -> Result<(RunResult, OverlapStats), SimError> {
-    let mut cfg = geometry.machine_config(&spec);
-    cfg.n_cpus = trace.n_cpus();
-    cfg.update_pages = prepared.update_pages.clone();
-    cfg.audit = audit;
-    cfg.cancel = cancel.clone();
-    let working = prepared.trace.as_deref().unwrap_or(trace);
-    // Preparation already validated the working trace (see
-    // [`PreparedCell::validated`]); don't re-scan it in the timed run.
-    let mut machine = if prepared.validated {
-        Machine::with_recording_prevalidated(cfg, working, true)?
-    } else {
-        Machine::new(cfg, working)?
-    };
-    let stats = machine.run_mut()?;
-    Ok((
-        RunResult {
-            stats,
-            spec,
-            geometry,
-        },
-        machine.overlap_stats(),
-    ))
-}
-
-/// [`AnalyzedCell`] for the streaming pipeline: the same
-/// geometry-independent prefix state over the chunked backbone.
+/// The geometry-independent half of cell preparation: the working trace
+/// after every software rewrite that precedes hot-spot profiling, plus the
+/// update-page set, plus lazily-built hot-spot machinery shared by every
+/// geometry probing this trace.
 ///
 /// It also carries the validation state of every trace it hands out, so
 /// each immutable trace is walked by the validator once per process:
@@ -491,7 +143,12 @@ pub struct AnalyzedCellChunked {
     /// Per-site hot-spot insertion plan over the working trace.
     hot_plan: OnceLock<transform::HotspotPlan>,
     /// Materialized, validated hot-spot rewrites keyed by the hot-site
-    /// vector, held weakly (same rationale as [`AnalyzedCell::hot`]).
+    /// vector: two geometries that rank the same hot set share one
+    /// rewritten trace. Held weakly — a rewrite is used by exactly one
+    /// simulation in the common case, and pinning every retired
+    /// multi-megabyte trace for the whole run grows the process footprint
+    /// until fresh allocations fault at host-paging speed (see DESIGN.md
+    /// §12.3).
     hot: Mutex<HashMap<Vec<u16>, Weak<ChunkedTrace>>>,
     /// Memoized validation of the working trace.
     validated: OnceLock<Result<(), TraceError>>,
@@ -529,26 +186,37 @@ impl AnalyzedCellChunked {
     }
 }
 
-/// [`PreparedCell`] for the streaming pipeline. Its working trace (the
-/// rewrite, or the base trace when `trace` is `None`) has always passed
-/// validation: [`prepare_from_analysis_chunked`] hands out nothing else,
-/// so the final run skips the validator walk. Callers assembling one by
-/// other means must validate its working trace first.
+/// A trace fully prepared for its final machine run: every software pass
+/// of the spec (deferred copy, coloring, privatize/relocate/update
+/// planning, hot-spot prefetch insertion) has been applied. Preparation is
+/// deterministic, which is what lets the runner's cache share prepared
+/// traces across experiments keyed by a config fingerprint.
+///
+/// Its working trace (the rewrite, or the base trace when `trace` is
+/// `None`) has always passed validation: [`prepare_from_analysis_chunked`]
+/// hands out nothing else, so the final run skips the validator walk.
+/// Callers assembling one by other means must validate its working trace
+/// first.
 #[derive(Clone, Debug)]
 pub struct PreparedCellChunked {
-    /// The rewritten trace, or `None` when no pass touched it.
+    /// The rewritten trace, or `None` when no pass touched it (run the
+    /// original). Shared: several cells that converge on the same rewrite
+    /// (e.g. two geometries with the same hot set) hold one allocation.
     pub trace: Option<Arc<ChunkedTrace>>,
     /// Pages mapped with the update protocol (§5.2).
     pub update_pages: PageSet,
 }
 
-/// [`analyze_cell`] over the chunked backbone: every pass streams
-/// chunk-by-chunk — deferred copy, coloring, profiling, and the fused
-/// privatize/relocate rewrite each hold one decode window plus one open
-/// output chunk per stream, never a materialized `Vec<Event>`. The plans
-/// themselves ([`transform::false_sharing_plan_meta`] etc.) read only the
-/// metadata. Produces rewrites event-identical to [`analyze_cell`] on the
-/// decoded trace (pinned by the streaming oracle tests).
+/// The geometry-independent preparation prefix: deferred copy, page
+/// coloring, sharing profiling, privatization/relocation/update planning,
+/// and the fused rewrite. Deterministic in `(trace, AnalysisPrefix::of
+/// (spec))`; infallible because no machine runs here.
+///
+/// Every pass streams chunk-by-chunk — deferred copy, coloring, profiling,
+/// and the fused privatize/relocate rewrite each hold one decode window
+/// plus one open output chunk per stream, never a materialized
+/// `Vec<Event>`. The plans themselves ([`transform::false_sharing_plan_meta`]
+/// etc.) read only the metadata.
 pub fn analyze_cell_chunked(trace: &ChunkedTrace, spec: SystemSpec) -> AnalyzedCellChunked {
     let mut update_pages = PageSet::new();
     let mut owned: Option<ChunkedTrace> = None;
@@ -560,6 +228,11 @@ pub fn analyze_cell_chunked(trace: &ChunkedTrace, spec: SystemSpec) -> AnalyzedC
     }
 
     if spec.page_coloring {
+        // Coloring materializes before planning: the sharing profile and
+        // the hot-spot profiling run must observe colored addresses
+        // exactly as the sequential pass chain produced them. The L2 size
+        // is geometry-independent (every Geometry maps to the base 256-KB
+        // L2), which is what lets this whole phase be geometry-free.
         let l2_size = Geometry::default().machine_config(&spec).l2.size;
         let working = owned.as_ref().unwrap_or(trace);
         let colored = transform::TransformPipeline::new()
@@ -576,12 +249,15 @@ pub fn analyze_cell_chunked(trace: &ChunkedTrace, spec: SystemSpec) -> AnalyzedC
         } else {
             Vec::new()
         };
+        // Build one combined relocation plan: update-set members go to the
+        // update page; other falsely-shared variables get their own lines.
         let mut plan = transform::RelocationMap::new();
         let mut placed: HashSet<u32> = HashSet::new();
         if spec.update == UpdatePolicy::Selective {
             let set = analysis::find_update_set(&profile, &privatized);
             let (upd_plan, pages) = transform::update_page_plan_meta(&working.meta, &set);
             update_pages = pages.into_iter().collect();
+            // Record which variables the update plan placed.
             for w in set.all_words() {
                 if let Some(v) = working.meta.var_at(w) {
                     placed.insert(v.addr.0);
@@ -593,6 +269,7 @@ pub fn analyze_cell_chunked(trace: &ChunkedTrace, spec: SystemSpec) -> AnalyzedC
         }
         if spec.relocate {
             let fs = transform::false_sharing_plan_meta(&working.meta, &placed);
+            // Merge: false-sharing moves for anything not already placed.
             for v in &working.meta.vars {
                 if v.false_shared_group.is_some()
                     && !placed.contains(&v.addr.0)
@@ -630,7 +307,9 @@ pub fn analyze_cell_chunked(trace: &ChunkedTrace, spec: SystemSpec) -> AnalyzedC
     }
 }
 
-/// [`prepare_from_analysis`] over the chunked backbone.
+/// The geometry-dependent preparation suffix: the hot-spot profiling
+/// replay, hot-site ranking, and prefetch-insertion rewrite. For specs
+/// without `hotspot_prefetch` this just repackages the analysis.
 pub fn prepare_from_analysis_chunked(
     trace: &ChunkedTrace,
     analyzed: &AnalyzedCellChunked,
@@ -648,10 +327,20 @@ pub fn prepare_from_analysis_chunked(
     )
 }
 
-/// [`prepare_from_analysis_cancellable`] over the chunked backbone: the
-/// hot-spot profiling replay pulls events through the machine's per-CPU
-/// decode windows, and the prefetch-insertion rewrite is the forward merge
-/// of [`transform::HotspotPlan::materialize_chunked`].
+/// [`prepare_from_analysis_chunked`] with a cooperative-cancellation token
+/// wired into the profiling replay (the only machine run in this phase;
+/// the analysis transforms themselves are not cancellation points, so a
+/// cancellation grace period must absorb them).
+///
+/// The hot-spot profiling replay pulls events through the machine's
+/// per-CPU decode windows. With `audit == Off` it is the bookkeeping-free
+/// replay, whose per-site OS miss counts are exact by construction; any
+/// higher audit level records fully so the step/final auditors see the
+/// bookkeeping they cross-check (see `DESIGN.md` §12). The
+/// prefetch-insertion rewrite is the forward merge of
+/// [`transform::HotspotPlan::materialize_chunked`], served from the
+/// analysis's hot-set cache when another geometry already ranked the same
+/// sites.
 ///
 /// Validation is memoized on `analyzed` (see [`AnalyzedCellChunked`]):
 /// the working trace is walked once per analysis and each rewrite once at
@@ -731,7 +420,8 @@ pub fn prepare_from_analysis_chunked_cancellable(
     ))
 }
 
-/// [`run_prepared`] over the chunked backbone.
+/// The execution half of [`try_run_spec_audited`]: one deterministic
+/// single-threaded machine run over the prepared trace.
 pub fn run_prepared_chunked(
     trace: &ChunkedTrace,
     prepared: &PreparedCellChunked,
@@ -739,27 +429,19 @@ pub fn run_prepared_chunked(
     geometry: Geometry,
     audit: AuditLevel,
 ) -> Result<RunResult, SimError> {
-    run_prepared_chunked_cancellable(trace, prepared, spec, geometry, audit, &CancelToken::none())
+    run_prepared_chunked_timed(trace, prepared, spec, geometry, audit, &CancelToken::none())
+        .map(|(r, _)| r)
 }
 
-/// [`run_prepared_cancellable`] over the chunked backbone: the machine
-/// pulls decoded events through small per-CPU windows, so the run's peak
-/// memory is the encoded chunks plus O(n_cpus) decode windows.
-pub fn run_prepared_chunked_cancellable(
-    trace: &ChunkedTrace,
-    prepared: &PreparedCellChunked,
-    spec: SystemSpec,
-    geometry: Geometry,
-    audit: AuditLevel,
-    cancel: &CancelToken,
-) -> Result<RunResult, SimError> {
-    run_prepared_chunked_timed(trace, prepared, spec, geometry, audit, cancel).map(|(r, _)| r)
-}
-
-/// [`run_prepared_chunked_cancellable`] that also reports the machine's
-/// decode-overlap telemetry: residual synchronous-decode milliseconds and
-/// decode-ahead hit counts (DESIGN.md §17). The telemetry is pure
-/// observability — it never feeds back into the statistics.
+/// [`run_prepared_chunked`] with a cooperative-cancellation token wired
+/// into the machine's event loop (a tripped token surfaces as
+/// [`SimErrorKind::Cancelled`](oscache_memsys::SimErrorKind::Cancelled)),
+/// also reporting the machine's decode-overlap telemetry: residual
+/// synchronous-decode milliseconds and decode-ahead hit counts (DESIGN.md
+/// §17). The telemetry is pure observability — it never feeds back into
+/// the statistics. The machine pulls decoded events through small per-CPU
+/// windows, so the run's peak memory is the encoded chunks plus O(n_cpus)
+/// decode windows.
 pub fn run_prepared_chunked_timed(
     trace: &ChunkedTrace,
     prepared: &PreparedCellChunked,
@@ -787,9 +469,15 @@ pub fn run_prepared_chunked_timed(
     ))
 }
 
-/// [`try_run_spec_audited`] over the chunked backbone: analyze, prepare,
-/// run — every phase streaming.
-pub fn try_run_spec_audited_chunked(
+/// Runs a fully-specified system with the machine's invariant auditor set
+/// to `audit`, returning trace and invariant problems as typed errors:
+/// analyze, prepare, run — every phase streaming.
+///
+/// Callers that prepare several geometries of one spec should call
+/// [`analyze_cell_chunked`] once and [`prepare_from_analysis_chunked`] per
+/// geometry instead (the runner's
+/// [`TraceCache`](crate::runner::TraceCache) does).
+pub fn try_run_spec_audited(
     trace: &ChunkedTrace,
     spec: SystemSpec,
     geometry: Geometry,
@@ -804,10 +492,10 @@ pub fn try_run_spec_audited_chunked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oscache_workloads::{build, BuildOptions, Workload};
+    use oscache_workloads::{build_chunked, BuildOptions, Workload};
 
-    fn trace() -> Trace {
-        build(
+    fn trace() -> ChunkedTrace {
+        build_chunked(
             Workload::Trfd4,
             BuildOptions {
                 scale: 0.05,
@@ -886,28 +574,6 @@ mod tests {
             tr(&relup),
             tr(&reloc)
         );
-    }
-
-    #[test]
-    fn chunked_pipeline_matches_flat_pipeline_end_to_end() {
-        let t = trace();
-        let ct = ChunkedTrace::from_trace(&t);
-        // BCPref exercises every pass: deferred block schemes aside, it
-        // colors nothing but privatizes, relocates, updates, and inserts
-        // hot-spot prefetches (a profiling replay inside preparation).
-        for system in [System::Base, System::BCohRelUp, System::BCPref] {
-            let flat =
-                try_run_spec_audited(&t, system.spec(), Geometry::default(), AuditLevel::Off)
-                    .expect("flat run");
-            let chunked = try_run_spec_audited_chunked(
-                &ct,
-                system.spec(),
-                Geometry::default(),
-                AuditLevel::Off,
-            )
-            .expect("chunked run");
-            assert_eq!(flat.stats, chunked.stats, "{system:?} stats diverge");
-        }
     }
 
     #[test]

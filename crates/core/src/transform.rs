@@ -10,16 +10,16 @@
 //! ahead of the loads they cover.
 //!
 //! The rewrites are *fused*: [`TransformPipeline`] applies any combination
-//! of passes in one walk over each stream into one pre-sized buffer, in
-//! the fixed composition order coloring → privatization → relocation →
-//! escape instrumentation → hot-spot prefetching. The per-pass functions
-//! ([`privatize_counters`], [`relocate`], …) are thin wrappers over a
-//! single-stage pipeline; the original pass-by-pass implementations live
-//! on verbatim in [`compat`] as the equivalence oracle.
+//! of the per-event passes in one chunk-streaming walk over each stream,
+//! in the fixed composition order coloring → privatization → relocation →
+//! escape instrumentation. Hot-spot prefetching runs afterwards as the
+//! forward merge of a [`HotspotPlan`]. The original pass-by-pass
+//! implementations live on in the test suite as the equivalence oracle
+//! (`tests/common/compat.rs`).
 
 use crate::analysis::UpdateSet;
 use oscache_trace::{
-    Addr, ChunkedStreamBuilder, ChunkedTrace, DataClass, Event, Stream, Trace, TraceMeta, WORD_SIZE,
+    Addr, ChunkedStreamBuilder, ChunkedTrace, DataClass, Event, TraceMeta, WORD_SIZE,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -41,14 +41,6 @@ const PRIVATE_VAR_STRIDE: u32 = SLOT * 8;
 /// Address of CPU `cpu`'s private copy of target `idx`.
 pub fn private_copy_addr(idx: usize, cpu: usize) -> Addr {
     Addr(PRIVATE_BASE + idx as u32 * PRIVATE_VAR_STRIDE + cpu as u32 * PRIVATE_CPU_STRIDE)
-}
-
-/// Rewrites counter updates to per-CPU private copies and expands
-/// aggregate reads into reads of every copy (§5.1: "instead of reading one
-/// counter, [the pager] reads all the private sub-counters and adds them
-/// all up").
-pub fn privatize_counters(trace: &Trace, targets: &[Addr]) -> Trace {
-    TransformPipeline::new().privatize(targets).run(trace)
 }
 
 /// An address remapping built from byte ranges.
@@ -147,13 +139,8 @@ impl RelocationMap {
 }
 
 /// Builds the §5.1 relocation plan: every variable in a false-sharing
-/// group moves to its own [`SLOT`]-aligned home.
-pub fn false_sharing_plan(trace: &Trace, skip: &HashSet<u32>) -> RelocationMap {
-    false_sharing_plan_meta(&trace.meta, skip)
-}
-
-/// [`false_sharing_plan`] from the metadata alone — the plan never reads
-/// the event streams, so chunked pipelines call this without decoding.
+/// group moves to its own [`SLOT`]-aligned home. The plan reads only the
+/// metadata, never the event streams.
 pub fn false_sharing_plan_meta(meta: &TraceMeta, skip: &HashSet<u32>) -> RelocationMap {
     let mut map = RelocationMap::new();
     let mut next = RELOC_BASE;
@@ -170,12 +157,7 @@ pub fn false_sharing_plan_meta(meta: &TraceMeta, skip: &HashSet<u32>) -> Relocat
 
 /// Builds the §5.2 update-page plan: each update-set member gets its own
 /// line in the update page. Returns the plan and the update-mapped pages.
-pub fn update_page_plan(trace: &Trace, set: &UpdateSet) -> (RelocationMap, HashSet<u32>) {
-    update_page_plan_meta(&trace.meta, set)
-}
-
-/// [`update_page_plan`] from the metadata alone (see
-/// [`false_sharing_plan_meta`]).
+/// Reads only the metadata (see [`false_sharing_plan_meta`]).
 pub fn update_page_plan_meta(meta: &TraceMeta, set: &UpdateSet) -> (RelocationMap, HashSet<u32>) {
     let mut map = RelocationMap::new();
     let mut next = UPDATE_PAGE_BASE;
@@ -197,11 +179,6 @@ pub fn update_page_plan_meta(meta: &TraceMeta, set: &UpdateSet) -> (RelocationMa
     (map, pages)
 }
 
-/// Applies an address remapping to every reference in the trace.
-pub fn relocate(trace: &Trace, map: &RelocationMap) -> Trace {
-    TransformPipeline::new().relocate(map).run(trace)
-}
-
 /// Prefetch look-ahead for loop hot spots, in bytes (§6 unrolls and
 /// software-pipelines the loops).
 pub const LOOP_AHEAD: u32 = 64;
@@ -211,14 +188,6 @@ pub const LOOP_AHEAD: u32 = 64;
 /// boundaries ("the prefetch should be moved to the callers … we do not
 /// do this").
 pub const HOIST_LIMIT: usize = 24;
-
-/// Inserts prefetches at the given hot sites (§6): loop sites prefetch
-/// [`LOOP_AHEAD`] bytes ahead at each access; sequence sites hoist a
-/// prefetch of the accessed line up to [`HOIST_LIMIT`] events earlier,
-/// never across synchronization, block operations, or mode switches.
-pub fn insert_hotspot_prefetches(trace: &Trace, hot_sites: &[u16]) -> Trace {
-    TransformPipeline::new().hotspot(hot_sites).run(trace)
-}
 
 /// One precomputed insertion of the hot-spot stage: `first` (and `second`
 /// for loop sites) go immediately before the input event at index
@@ -232,10 +201,16 @@ struct HotInsertion {
     second: Option<Event>,
 }
 
-/// The hot-spot stage split in two: [`HotspotPlan::build`] walks a trace
-/// once and records, for *every* site, the prefetches the stage would
-/// insert if that site were hot; [`HotspotPlan::materialize`] then emits
-/// the rewritten trace for one concrete hot set in a single merge pass.
+/// Hot-spot prefetch insertion (§6), split in two:
+/// [`HotspotPlan::build_chunked`] walks a trace once and records, for
+/// *every* site, the prefetches the stage would insert if that site were
+/// hot; [`HotspotPlan::materialize_chunked`] then emits the rewritten
+/// trace for one concrete hot set in a single forward merge pass.
+///
+/// Loop sites prefetch [`LOOP_AHEAD`] bytes ahead at each access; sequence
+/// sites hoist a prefetch of the accessed line up to [`HOIST_LIMIT`]
+/// events earlier, never across synchronization, block operations, or
+/// mode switches.
 ///
 /// A profiling caller that tries several cache geometries over one
 /// working trace pays the stage's walk once instead of once per distinct
@@ -244,8 +219,8 @@ struct HotInsertion {
 /// and is consulted only for reads attributed to that site, and hoist
 /// targets are chosen from the input-event window alone — so whether
 /// *other* sites are hot never changes what one site inserts. The
-/// `hotspot_plan` tests pin event-for-event equality against
-/// [`TransformPipeline`].
+/// pipeline oracle pins event-for-event equality against the pass-by-pass
+/// insertion.
 #[derive(Debug)]
 pub struct HotspotPlan {
     /// Per input stream, insertions sorted by `before` (stable: equal
@@ -254,18 +229,8 @@ pub struct HotspotPlan {
 }
 
 impl HotspotPlan {
-    /// Precomputes every site's would-be insertions over `trace`.
-    pub fn build(trace: &Trace) -> Self {
-        let streams = trace
-            .streams
-            .iter()
-            .map(|stream| Self::build_stream(&trace.meta, stream.events().iter().copied()))
-            .collect();
-        HotspotPlan { streams }
-    }
-
-    /// [`HotspotPlan::build`] over a chunked trace: the identical one-pass
-    /// walk pulling events through each stream's chunk iterator, so the
+    /// Precomputes every site's would-be insertions over `trace` in one
+    /// pass, pulling events through each stream's chunk iterator, so the
     /// plan is computed in O(decode window) memory.
     pub fn build_chunked(trace: &ChunkedTrace) -> Self {
         let streams = trace
@@ -276,8 +241,7 @@ impl HotspotPlan {
         HotspotPlan { streams }
     }
 
-    /// One stream's plan: the per-site bookkeeping walk, generic over the
-    /// event source so flat slices and chunk iterators share it verbatim.
+    /// One stream's plan: the per-site bookkeeping walk.
     fn build_stream(meta: &TraceMeta, events: impl Iterator<Item = Event>) -> Vec<HotInsertion> {
         let mut ins: Vec<HotInsertion> = Vec::new();
         let mut cur_site: Option<u16> = None;
@@ -355,51 +319,12 @@ impl HotspotPlan {
     }
 
     /// Emits the rewrite for `hot_sites` over the same `trace` the plan
-    /// was built from — event-identical to
-    /// [`insert_hotspot_prefetches`]`(trace, hot_sites)`.
-    pub fn materialize(&self, trace: &Trace, hot_sites: &[u16]) -> Trace {
+    /// was built from: a forward pass over each stream's chunk iterator
+    /// against the `before`-sorted insertion list, re-encoding into fresh
+    /// chunks.
+    pub fn materialize_chunked(&self, trace: &ChunkedTrace, hot_sites: &[u16]) -> ChunkedTrace {
         // Dense site mask: the plan holds one insertion per profiled read,
         // so membership is tested millions of times per materialization.
-        let mut hot = vec![false; 1 << 16];
-        for &s in hot_sites {
-            hot[usize::from(s)] = true;
-        }
-        let mut out = Trace::new(trace.n_cpus(), trace.meta.clone());
-        for (cpu, stream) in trace.streams.iter().enumerate() {
-            let events = stream.events();
-            let ins = &self.streams[cpu];
-            let extra: usize = ins
-                .iter()
-                .filter(|it| hot[usize::from(it.site)])
-                .map(|it| 1 + usize::from(it.second.is_some()))
-                .sum();
-            // Chunked merge: memcpy the runs between live insertion points
-            // instead of pushing event-by-event. Insertions sharing one
-            // `before` keep their plan order (the gap copy is empty).
-            let mut buf: Vec<Event> = Vec::with_capacity(events.len() + extra);
-            let mut prev = 0usize;
-            for it in ins.iter().filter(|it| hot[usize::from(it.site)]) {
-                let before = it.before as usize;
-                buf.extend_from_slice(&events[prev..before]);
-                prev = before;
-                buf.push(it.first);
-                if let Some(second) = it.second {
-                    buf.push(second);
-                }
-            }
-            buf.extend_from_slice(&events[prev..]);
-            out.streams[cpu] = Stream::from_events(buf);
-        }
-        out
-    }
-
-    /// [`HotspotPlan::materialize`] over a chunked trace: the same merge,
-    /// run as a forward pass over each stream's chunk iterator against the
-    /// `before`-sorted insertion list, re-encoding into fresh chunks. The
-    /// plan must have been built over an event-identical trace
-    /// ([`HotspotPlan::build_chunked`] on this trace, or
-    /// [`HotspotPlan::build`] on its decoded equivalent).
-    pub fn materialize_chunked(&self, trace: &ChunkedTrace, hot_sites: &[u16]) -> ChunkedTrace {
         let mut hot = vec![false; 1 << 16];
         for &s in hot_sites {
             hot[usize::from(s)] = true;
@@ -442,16 +367,6 @@ pub fn is_prefetch(e: &Event) -> bool {
     matches!(e, Event::Prefetch { .. })
 }
 
-/// The §2.2 escape instrumentation: one escape load per basic block,
-/// reading an odd address in the code segment so the performance monitor
-/// can reconstruct the instruction stream. The paper measured that this
-/// inflates code size by ~30% yet "does not significantly affect the
-/// metrics"; [`crate::Repro`]-level comparisons of an instrumented trace
-/// against the original reproduce that perturbation study.
-pub fn instrument_escapes(trace: &Trace) -> Trace {
-    TransformPipeline::new().escapes().run(trace)
-}
-
 /// Base of the recolored-page region (far above every generated region).
 pub const COLOR_BASE_PAGE: u32 = 0x8000_0000 / oscache_trace::PAGE_SIZE;
 
@@ -464,29 +379,8 @@ fn colorable(class: DataClass) -> bool {
     )
 }
 
-/// Careful page placement (cache coloring), the §7 "possible optimization"
-/// the paper attributes to Kessler & Hill and Bershad et al.: pages of
-/// dynamically-allocated data are assigned so that consecutive allocations
-/// spread evenly over the secondary cache's page colors instead of landing
-/// wherever the free list happens to point.
-///
-/// Pages are remapped in first-touch order, round-robin over
-/// `l2_size / PAGE_SIZE` colors, preserving page offsets. The paper notes
-/// the scheme's shortcoming — placement is page-grained, "not optimal for
-/// the many small data structures in the kernel" — which is why it is an
-/// extension here, not part of the §4–§6 ladder.
-pub fn color_pages(trace: &Trace, l2_size: u32) -> Trace {
-    TransformPipeline::new().coloring(trace, l2_size).run(trace)
-}
-
 /// Collects the pages of every static kernel variable (for the
-/// full-update ablation).
-pub fn static_pages(trace: &Trace) -> HashSet<u32> {
-    static_pages_meta(&trace.meta)
-}
-
-/// [`static_pages`] from the metadata alone (see
-/// [`false_sharing_plan_meta`]).
+/// full-update ablation), from the metadata alone.
 pub fn static_pages_meta(meta: &TraceMeta) -> HashSet<u32> {
     meta.vars
         .iter()
@@ -500,13 +394,7 @@ pub fn static_pages_meta(meta: &TraceMeta) -> HashSet<u32> {
 
 /// Pages a *pure* update protocol would map: every kernel data region
 /// plus the transformed areas (§5.2's comparison point — "a pure update
-/// protocol" over operating-system variables).
-pub fn full_update_pages(trace: &Trace) -> HashSet<u32> {
-    full_update_pages_meta(&trace.meta)
-}
-
-/// [`full_update_pages`] from the metadata alone (see
-/// [`false_sharing_plan_meta`]).
+/// protocol" over operating-system variables), from the metadata alone.
 pub fn full_update_pages_meta(meta: &TraceMeta) -> HashSet<u32> {
     let mut pages = static_pages_meta(meta);
     for &(base, len) in &meta.kernel_data {
@@ -524,13 +412,8 @@ pub fn full_update_pages_meta(meta: &TraceMeta) -> HashSet<u32> {
 
 /// Builds the coloring stage's first-touch page map: pages of colorable
 /// classes are assigned round-robin over `l2_size / PAGE_SIZE` colors in
-/// the order they first appear, walking streams in CPU order. Shared by
-/// the flat and chunked pipeline fronts so both produce the same map.
-fn first_touch_color_map<S, I>(streams: S, l2_size: u32) -> HashMap<u32, u32>
-where
-    S: Iterator<Item = I>,
-    I: Iterator<Item = Event>,
-{
+/// the order they first appear, walking streams in CPU order.
+fn first_touch_color_map(trace: &ChunkedTrace, l2_size: u32) -> HashMap<u32, u32> {
     let colors = (l2_size / oscache_trace::PAGE_SIZE).max(1);
     let mut map: HashMap<u32, u32> = HashMap::new();
     let mut next_color = 0u32;
@@ -544,7 +427,7 @@ where
             COLOR_BASE_PAGE + round * colors + color
         });
     };
-    for stream in streams {
+    for stream in &trace.streams {
         for e in stream {
             match e {
                 Event::Read { addr, class }
@@ -569,21 +452,21 @@ where
     map
 }
 
-/// A fused trace rewrite: any combination of the software passes applied
-/// in one walk over each stream into one pre-sized output buffer.
+/// A fused trace rewrite: any combination of the per-event software
+/// passes applied in one walk over each stream.
 ///
 /// Stages run per event in the fixed order the old pass chain composed
-/// them: **coloring → privatization → relocation → escape instrumentation
-/// → hot-spot prefetching**. Coloring and relocation are pure per-event
-/// address maps; privatization's two-event peephole applies coloring to
-/// its lookahead on the fly, so the fused output is event-for-event
-/// identical to running the stages as separate whole-trace passes (the
-/// [`compat`] oracle, pinned by the equivalence tests).
+/// them: **coloring → privatization → relocation → escape
+/// instrumentation**. Coloring and relocation are pure per-event address
+/// maps; privatization's two-event peephole applies coloring to its
+/// lookahead on the fly, so the fused output is event-for-event identical
+/// to running the stages as separate whole-trace passes (the pass-by-pass
+/// oracle in the test suite, pinned by the equivalence tests).
 ///
 /// Plans are still computed separately — the pipeline consumes a finished
-/// [`RelocationMap`], privatization targets, and hot-site list; it only
-/// fuses the *rewrites*, which is where the per-pass chain paid a full
-/// clone + walk each.
+/// [`RelocationMap`] and privatization targets; it only fuses the
+/// *rewrites*, which is where the per-pass chain paid a full clone + walk
+/// each.
 #[derive(Default)]
 pub struct TransformPipeline<'a> {
     /// First-touch page map for the coloring stage.
@@ -594,22 +477,6 @@ pub struct TransformPipeline<'a> {
     reloc: Option<&'a RelocationMap>,
     /// Insert one escape read after every basic block.
     escapes: bool,
-    /// Hot sites for the prefetch-insertion stage.
-    hot: Option<HashSet<u16>>,
-}
-
-/// Per-stream state of the fused hot-spot stage. Mirrors the bookkeeping
-/// of the pass-by-pass version, except insertion positions are tracked in
-/// the *output* buffer: the last [`HOIST_LIMIT`] stage-input events and
-/// their current output positions replace the old `insertions` side map.
-struct HotspotState {
-    cur_site: Option<u16>,
-    site_is_loop: bool,
-    in_blockop: bool,
-    recent_lines: Vec<u32>,
-    /// `(blocks_hoisting, output_position)` of the most recent stage-input
-    /// events, oldest first.
-    window: VecDeque<(bool, usize)>,
 }
 
 impl<'a> TransformPipeline<'a> {
@@ -618,28 +485,29 @@ impl<'a> TransformPipeline<'a> {
         Self::default()
     }
 
-    /// Enables page coloring. The first-touch page map is computed here,
-    /// from `trace` — pass the same trace to [`TransformPipeline::run`].
-    pub fn coloring(mut self, trace: &Trace, l2_size: u32) -> Self {
-        self.color = Some(first_touch_color_map(
-            trace.streams.iter().map(|s| s.events().iter().copied()),
-            l2_size,
-        ));
-        self
-    }
-
-    /// [`TransformPipeline::coloring`] over a chunked trace: the same
-    /// first-touch map, built by streaming each chunk through one decode
-    /// window instead of walking materialized streams.
+    /// Enables page coloring (§7 careful page placement, after Kessler &
+    /// Hill and Bershad et al.): pages of dynamically-allocated data are
+    /// assigned so that consecutive allocations spread evenly over the
+    /// secondary cache's page colors instead of landing wherever the free
+    /// list happens to point. Pages are remapped in first-touch order,
+    /// round-robin over `l2_size / PAGE_SIZE` colors, preserving page
+    /// offsets; the paper notes placement is page-grained, "not optimal
+    /// for the many small data structures in the kernel", which is why it
+    /// is an extension here, not part of the §4–§6 ladder.
+    ///
+    /// The first-touch page map is computed here, by streaming each chunk
+    /// of `trace` through one decode window — pass the same trace to
+    /// [`TransformPipeline::run_chunked`].
     pub fn coloring_chunked(mut self, trace: &ChunkedTrace, l2_size: u32) -> Self {
-        self.color = Some(first_touch_color_map(
-            trace.streams.iter().map(|s| s.iter()),
-            l2_size,
-        ));
+        self.color = Some(first_touch_color_map(trace, l2_size));
         self
     }
 
-    /// Enables counter privatization for `targets`.
+    /// Enables counter privatization for `targets`: counter updates move
+    /// to per-CPU private copies in distinct cache lines, and aggregate
+    /// reads expand into reads of every copy (§5.1: "instead of reading
+    /// one counter, [the pager] reads all the private sub-counters and
+    /// adds them all up").
     pub fn privatize(mut self, targets: &[Addr]) -> Self {
         self.privatize = Some(
             targets
@@ -658,25 +526,20 @@ impl<'a> TransformPipeline<'a> {
         self
     }
 
-    /// Enables §2.2 escape instrumentation.
+    /// Enables §2.2 escape instrumentation: one escape load per basic
+    /// block, reading an odd address in the code segment so the
+    /// performance monitor can reconstruct the instruction stream. The
+    /// paper measured that this inflates code size by ~30% yet "does not
+    /// significantly affect the metrics"; `repro perturb` reproduces that
+    /// perturbation study.
     pub fn escapes(mut self) -> Self {
         self.escapes = true;
         self
     }
 
-    /// Enables hot-spot prefetch insertion at `hot_sites`.
-    pub fn hotspot(mut self, hot_sites: &[u16]) -> Self {
-        self.hot = Some(hot_sites.iter().copied().collect());
-        self
-    }
-
     /// True when no stage is enabled (run would copy the trace).
     pub fn is_identity(&self) -> bool {
-        self.color.is_none()
-            && self.privatize.is_none()
-            && self.reloc.is_none()
-            && !self.escapes
-            && self.hot.is_none()
+        self.color.is_none() && self.privatize.is_none() && self.reloc.is_none() && !self.escapes
     }
 
     /// The coloring stage: a pure per-event address map.
@@ -752,211 +615,9 @@ impl<'a> TransformPipeline<'a> {
         }
     }
 
-    /// Emits one post-privatization event through relocation, escape
-    /// instrumentation, and the hot-spot stage into `out`.
-    fn emit(&self, trace: &Trace, hs: &mut Option<HotspotState>, out: &mut Vec<Event>, e: Event) {
-        let e = self.apply_reloc(e);
-        self.hot_emit(trace, hs, out, e);
-        if self.escapes {
-            if let Event::Exec { block } = e {
-                let bb = trace.meta.code.block(block);
-                // Escape: a data read of an odd code-segment address.
-                self.hot_emit(
-                    trace,
-                    hs,
-                    out,
-                    Event::Read {
-                        addr: Addr(bb.start.0 | 1),
-                        class: DataClass::KernelOther,
-                    },
-                );
-            }
-        }
-    }
-
-    /// The hot-spot stage: pushes `e` (a stage-input event), inserting
-    /// prefetches before it or at an earlier (hoisted) output position,
-    /// exactly as the pass-by-pass version keyed insertions by input index.
-    fn hot_emit(
-        &self,
-        trace: &Trace,
-        hs: &mut Option<HotspotState>,
-        out: &mut Vec<Event>,
-        e: Event,
-    ) {
-        let Some(st) = hs else {
-            out.push(e);
-            return;
-        };
-        let hot = self.hot.as_ref().expect("hotspot state implies hot set");
-        match e {
-            Event::Exec { block } => {
-                let bb = trace.meta.code.block(block);
-                if st.cur_site != Some(bb.site.0) {
-                    st.cur_site = Some(bb.site.0);
-                    st.site_is_loop = trace.meta.code.site(bb.site).is_loop;
-                    st.recent_lines.clear();
-                }
-            }
-            Event::BlockOpBegin { .. } => st.in_blockop = true,
-            Event::BlockOpEnd => st.in_blockop = false,
-            Event::Read { addr, class }
-                if !st.in_blockop && st.cur_site.map(|s| hot.contains(&s)).unwrap_or(false) =>
-            {
-                let line = addr.0 & !15;
-                if !st.recent_lines.contains(&line) {
-                    st.recent_lines.push(line);
-                    if st.recent_lines.len() > 16 {
-                        st.recent_lines.remove(0);
-                    }
-                    if st.site_is_loop {
-                        // Software pipelining: prefetch the data of a later
-                        // iteration at this one; the prologue covers the
-                        // first accesses.
-                        out.push(Event::Prefetch {
-                            addr: addr.offset(LOOP_AHEAD),
-                            class,
-                        });
-                        out.push(Event::Prefetch { addr, class });
-                    } else {
-                        // Hoist backwards to the earliest safe position:
-                        // walk the window of prior stage-input events until
-                        // a synchronization/mode/idle boundary or the hoist
-                        // limit.
-                        let mut pos = out.len();
-                        for (hoisted, &(blocks, p)) in st.window.iter().rev().enumerate() {
-                            if blocks || hoisted >= HOIST_LIMIT {
-                                break;
-                            }
-                            pos = p;
-                        }
-                        out.insert(pos, Event::Prefetch { addr, class });
-                        for w in st.window.iter_mut() {
-                            if w.1 >= pos {
-                                w.1 += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-        let blocks = matches!(
-            e,
-            Event::LockAcquire { .. }
-                | Event::LockRelease { .. }
-                | Event::Barrier { .. }
-                | Event::BlockOpBegin { .. }
-                | Event::BlockOpEnd
-                | Event::SetMode { .. }
-                | Event::Idle { .. }
-        );
-        st.window.push_back((blocks, out.len()));
-        out.push(e);
-        if st.window.len() > HOIST_LIMIT {
-            st.window.pop_front();
-        }
-    }
-
-    /// Runs the enabled stages over `trace` in one walk per stream.
-    pub fn run(&self, trace: &Trace) -> Trace {
-        let n_cpus = trace.n_cpus();
-        let mut out = Trace::new(n_cpus, trace.meta.clone());
-        for (cpu, stream) in trace.streams.iter().enumerate() {
-            let events = stream.events();
-            let mut hs = self.hot.as_ref().map(|_| HotspotState {
-                cur_site: None,
-                site_is_loop: false,
-                in_blockop: false,
-                recent_lines: Vec::new(),
-                window: VecDeque::with_capacity(HOIST_LIMIT + 1),
-            });
-            // Pre-sized: privatization's aggregate expansion and the
-            // prefetch/escape insertions add a small fraction on top.
-            let mut buf: Vec<Event> = Vec::with_capacity(events.len() + events.len() / 8 + 16);
-            let mut i = 0;
-            while i < events.len() {
-                let e = self.apply_color(events[i]);
-                if let Some(index) = &self.privatize {
-                    match e {
-                        Event::Read { addr, class } => {
-                            let w = addr.0 & !(WORD_SIZE - 1);
-                            if let Some(&idx) = index.get(&w) {
-                                // Update (read+write pair) → private copy.
-                                // The lookahead sees the *colored* next
-                                // event, exactly as a privatization pass
-                                // running after a coloring pass would.
-                                let paired = events.get(i + 1).is_some_and(|&n| {
-                                    matches!(
-                                        self.apply_color(n),
-                                        Event::Write { addr: wa, .. }
-                                            if wa.0 & !(WORD_SIZE - 1) == w
-                                    )
-                                });
-                                if paired {
-                                    let p = private_copy_addr(idx, cpu);
-                                    self.emit(
-                                        trace,
-                                        &mut hs,
-                                        &mut buf,
-                                        Event::Read { addr: p, class },
-                                    );
-                                    self.emit(
-                                        trace,
-                                        &mut hs,
-                                        &mut buf,
-                                        Event::Write { addr: p, class },
-                                    );
-                                    i += 2;
-                                    continue;
-                                }
-                                // Aggregate use → read every CPU's copy.
-                                for c in 0..n_cpus {
-                                    self.emit(
-                                        trace,
-                                        &mut hs,
-                                        &mut buf,
-                                        Event::Read {
-                                            addr: private_copy_addr(idx, c),
-                                            class,
-                                        },
-                                    );
-                                }
-                                i += 1;
-                                continue;
-                            }
-                        }
-                        Event::Write { addr, class } => {
-                            let w = addr.0 & !(WORD_SIZE - 1);
-                            if let Some(&idx) = index.get(&w) {
-                                self.emit(
-                                    trace,
-                                    &mut hs,
-                                    &mut buf,
-                                    Event::Write {
-                                        addr: private_copy_addr(idx, cpu),
-                                        class,
-                                    },
-                                );
-                                i += 1;
-                                continue;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                self.emit(trace, &mut hs, &mut buf, e);
-                i += 1;
-            }
-            out.streams[cpu] = Stream::from_events(buf);
-        }
-        out
-    }
-
     /// Emits one post-privatization event through relocation and escape
-    /// instrumentation straight into a chunk builder. The chunked front
-    /// has no hot-spot stage ([`TransformPipeline::run_chunked`] asserts
-    /// it off), so emission never needs to reach back into sealed chunks.
+    /// instrumentation straight into a chunk builder. Emission never
+    /// reaches back into sealed chunks.
     fn emit_chunked(&self, meta: &TraceMeta, out: &mut ChunkedStreamBuilder, e: Event) {
         let e = self.apply_reloc(e);
         out.push(e);
@@ -974,23 +635,10 @@ impl<'a> TransformPipeline<'a> {
     /// Runs the enabled stages over a chunked trace, decoding one chunk at
     /// a time and re-encoding into fresh chunks: peak memory per stream is
     /// one decode window plus one open output chunk, independent of trace
-    /// length. Event-for-event identical to decoding the whole trace and
-    /// running [`TransformPipeline::run`] (pinned by the `chunked_*`
-    /// tests): coloring and relocation are pure per-event maps, and
+    /// length. Coloring and relocation are pure per-event maps, and
     /// privatization's two-event peephole needs only a one-event lookahead,
     /// which the peekable chunk iterator provides across chunk boundaries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the hot-spot stage is enabled: its backward hoisting
-    /// would have to rewrite already-sealed chunks. Chunked callers insert
-    /// prefetches through [`HotspotPlan::materialize_chunked`], whose
-    /// insertions are forward-merged.
     pub fn run_chunked(&self, trace: &ChunkedTrace) -> ChunkedTrace {
-        assert!(
-            self.hot.is_none(),
-            "hot-spot insertion over chunked traces goes through HotspotPlan"
-        );
         let n_cpus = trace.n_cpus();
         let mut out = ChunkedTrace::new(n_cpus, trace.meta.clone());
         for (cpu, stream) in trace.streams.iter().enumerate() {
@@ -1004,8 +652,9 @@ impl<'a> TransformPipeline<'a> {
                             let w = addr.0 & !(WORD_SIZE - 1);
                             if let Some(&idx) = index.get(&w) {
                                 // Update (read+write pair) → private copy.
-                                // As in `run`, the lookahead sees the
-                                // *colored* next event.
+                                // The lookahead sees the *colored* next
+                                // event, exactly as a privatization pass
+                                // running after a coloring pass would.
                                 let paired = it.peek().is_some_and(|&n| {
                                     matches!(
                                         self.apply_color(n),
@@ -1064,311 +713,12 @@ impl<'a> TransformPipeline<'a> {
     }
 }
 
-/// The original pass-by-pass rewrites, kept verbatim as the equivalence
-/// oracle for [`TransformPipeline`]: each function materializes a full
-/// trace per pass, which is exactly the cost the fused pipeline removes.
-/// The `pipeline_matches_*` tests pin output equality event-for-event.
-pub mod compat {
-    use super::*;
-
-    /// Oracle for the privatization stage (see [`super::privatize_counters`]).
-    pub fn privatize_counters(trace: &Trace, targets: &[Addr]) -> Trace {
-        let index: HashMap<u32, usize> = targets
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (a.0 & !(WORD_SIZE - 1), i))
-            .collect();
-        let n_cpus = trace.n_cpus();
-        let mut out = trace.clone();
-        for (cpu, stream) in trace.streams.iter().enumerate() {
-            let events = stream.events();
-            let mut new = Vec::with_capacity(events.len());
-            let mut i = 0;
-            while i < events.len() {
-                match events[i] {
-                    Event::Read { addr, class } => {
-                        let w = addr.0 & !(WORD_SIZE - 1);
-                        if let Some(&idx) = index.get(&w) {
-                            if let Some(Event::Write { addr: wa, .. }) = events.get(i + 1) {
-                                if wa.0 & !(WORD_SIZE - 1) == w {
-                                    let p = private_copy_addr(idx, cpu);
-                                    new.push(Event::Read { addr: p, class });
-                                    new.push(Event::Write { addr: p, class });
-                                    i += 2;
-                                    continue;
-                                }
-                            }
-                            for c in 0..n_cpus {
-                                new.push(Event::Read {
-                                    addr: private_copy_addr(idx, c),
-                                    class,
-                                });
-                            }
-                            i += 1;
-                            continue;
-                        }
-                        new.push(events[i]);
-                    }
-                    Event::Write { addr, class } => {
-                        let w = addr.0 & !(WORD_SIZE - 1);
-                        if let Some(&idx) = index.get(&w) {
-                            new.push(Event::Write {
-                                addr: private_copy_addr(idx, cpu),
-                                class,
-                            });
-                            i += 1;
-                            continue;
-                        }
-                        new.push(events[i]);
-                    }
-                    e => new.push(e),
-                }
-                i += 1;
-            }
-            out.streams[cpu] = Stream::from_events(new);
-        }
-        out
-    }
-
-    /// Oracle for the relocation stage (see [`super::relocate`]).
-    pub fn relocate(trace: &Trace, map: &RelocationMap) -> Trace {
-        let mut out = trace.clone();
-        let remap = |a: Addr| map.lookup(a).unwrap_or(a);
-        for stream in &mut out.streams {
-            let events = std::mem::take(stream).into_events();
-            let new: Vec<Event> = events
-                .into_iter()
-                .map(|e| match e {
-                    Event::Read { addr, class } => Event::Read {
-                        addr: remap(addr),
-                        class,
-                    },
-                    Event::Write { addr, class } => Event::Write {
-                        addr: remap(addr),
-                        class,
-                    },
-                    Event::Prefetch { addr, class } => Event::Prefetch {
-                        addr: remap(addr),
-                        class,
-                    },
-                    Event::LockAcquire { lock, addr } => Event::LockAcquire {
-                        lock,
-                        addr: remap(addr),
-                    },
-                    Event::LockRelease { lock, addr } => Event::LockRelease {
-                        lock,
-                        addr: remap(addr),
-                    },
-                    Event::Barrier {
-                        barrier,
-                        addr,
-                        participants,
-                    } => Event::Barrier {
-                        barrier,
-                        addr: remap(addr),
-                        participants,
-                    },
-                    other => other,
-                })
-                .collect();
-            *stream = Stream::from_events(new);
-        }
-        out
-    }
-
-    /// Oracle for the hot-spot stage (see [`super::insert_hotspot_prefetches`]).
-    pub fn insert_hotspot_prefetches(trace: &Trace, hot_sites: &[u16]) -> Trace {
-        let hot: HashSet<u16> = hot_sites.iter().copied().collect();
-        let mut out = trace.clone();
-        for stream in &mut out.streams {
-            let events = std::mem::take(stream).into_events();
-            // insertions[i] = prefetches to emit immediately before event i.
-            let mut insertions: HashMap<usize, Vec<Event>> = HashMap::new();
-            let mut cur_site: Option<u16> = None;
-            let mut site_is_loop = false;
-            let mut in_blockop = false;
-            let mut recent_lines: Vec<u32> = Vec::new();
-            for (i, e) in events.iter().enumerate() {
-                match *e {
-                    Event::Exec { block } => {
-                        let bb = trace.meta.code.block(block);
-                        if cur_site != Some(bb.site.0) {
-                            cur_site = Some(bb.site.0);
-                            site_is_loop = trace.meta.code.site(bb.site).is_loop;
-                            recent_lines.clear();
-                        }
-                    }
-                    Event::BlockOpBegin { .. } => in_blockop = true,
-                    Event::BlockOpEnd => in_blockop = false,
-                    Event::Read { addr, class }
-                        if !in_blockop && cur_site.map(|s| hot.contains(&s)).unwrap_or(false) =>
-                    {
-                        let line = addr.0 & !15;
-                        if recent_lines.contains(&line) {
-                            continue;
-                        }
-                        recent_lines.push(line);
-                        if recent_lines.len() > 16 {
-                            recent_lines.remove(0);
-                        }
-                        if site_is_loop {
-                            insertions.entry(i).or_default().push(Event::Prefetch {
-                                addr: addr.offset(LOOP_AHEAD),
-                                class,
-                            });
-                            insertions
-                                .entry(i)
-                                .or_default()
-                                .push(Event::Prefetch { addr, class });
-                        } else {
-                            let mut j = i;
-                            let mut hoisted = 0;
-                            while j > 0 && hoisted < HOIST_LIMIT {
-                                match events[j - 1] {
-                                    Event::LockAcquire { .. }
-                                    | Event::LockRelease { .. }
-                                    | Event::Barrier { .. }
-                                    | Event::BlockOpBegin { .. }
-                                    | Event::BlockOpEnd
-                                    | Event::SetMode { .. }
-                                    | Event::Idle { .. } => break,
-                                    _ => {
-                                        j -= 1;
-                                        hoisted += 1;
-                                    }
-                                }
-                            }
-                            insertions
-                                .entry(j)
-                                .or_default()
-                                .push(Event::Prefetch { addr, class });
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            let mut new = Vec::with_capacity(events.len() + insertions.len());
-            for (i, e) in events.into_iter().enumerate() {
-                if let Some(pre) = insertions.remove(&i) {
-                    new.extend(pre);
-                }
-                new.push(e);
-            }
-            *stream = Stream::from_events(new);
-        }
-        out
-    }
-
-    /// Oracle for escape instrumentation (see [`super::instrument_escapes`]).
-    pub fn instrument_escapes(trace: &Trace) -> Trace {
-        let mut out = trace.clone();
-        for stream in &mut out.streams {
-            let events = std::mem::take(stream).into_events();
-            let mut new = Vec::with_capacity(events.len() * 2);
-            for e in events {
-                new.push(e);
-                if let Event::Exec { block } = e {
-                    let bb = trace.meta.code.block(block);
-                    new.push(Event::Read {
-                        addr: Addr(bb.start.0 | 1),
-                        class: DataClass::KernelOther,
-                    });
-                }
-            }
-            *stream = Stream::from_events(new);
-        }
-        out
-    }
-
-    /// Oracle for the coloring stage (see [`super::color_pages`]).
-    pub fn color_pages(trace: &Trace, l2_size: u32) -> Trace {
-        let colors = (l2_size / oscache_trace::PAGE_SIZE).max(1);
-        let mut map: HashMap<u32, u32> = HashMap::new();
-        let mut next_color = 0u32;
-        let mut rounds = vec![0u32; colors as usize];
-        let mut assign = |map: &mut HashMap<u32, u32>, page: u32| {
-            map.entry(page).or_insert_with(|| {
-                let color = next_color % colors;
-                let round = rounds[color as usize];
-                rounds[color as usize] += 1;
-                next_color += 1;
-                COLOR_BASE_PAGE + round * colors + color
-            });
-        };
-        for stream in &trace.streams {
-            for e in stream.events() {
-                match *e {
-                    Event::Read { addr, class }
-                    | Event::Write { addr, class }
-                    | Event::Prefetch { addr, class }
-                        if colorable(class) =>
-                    {
-                        assign(&mut map, addr.page());
-                    }
-                    Event::BlockOpBegin { op } => {
-                        if colorable(op.src_class) {
-                            assign(&mut map, op.src.page());
-                        }
-                        if colorable(op.dst_class) {
-                            assign(&mut map, op.dst.page());
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let remap = |a: Addr| -> Addr {
-            match map.get(&a.page()) {
-                Some(&new_page) => Addr(new_page * oscache_trace::PAGE_SIZE + a.page_offset()),
-                None => a,
-            }
-        };
-        let mut out = trace.clone();
-        for stream in &mut out.streams {
-            let events = std::mem::take(stream).into_events();
-            let new: Vec<Event> = events
-                .into_iter()
-                .map(|e| match e {
-                    Event::Read { addr, class } if colorable(class) => Event::Read {
-                        addr: remap(addr),
-                        class,
-                    },
-                    Event::Write { addr, class } if colorable(class) => Event::Write {
-                        addr: remap(addr),
-                        class,
-                    },
-                    Event::Prefetch { addr, class } if colorable(class) => Event::Prefetch {
-                        addr: remap(addr),
-                        class,
-                    },
-                    Event::BlockOpBegin { mut op } => {
-                        if colorable(op.src_class) {
-                            op.src = remap(op.src);
-                        }
-                        if colorable(op.dst_class) {
-                            op.dst = remap(op.dst);
-                        }
-                        Event::BlockOpBegin { op }
-                    }
-                    other => other,
-                })
-                .collect();
-            *stream = Stream::from_events(new);
-        }
-        out
-    }
-}
-
-// keep DataClass import used in doc examples
-#[allow(unused)]
-fn _class(_: DataClass) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oscache_trace::{Mode, StreamBuilder, TraceMeta};
+    use oscache_trace::{Mode, StreamBuilder, Trace};
 
-    fn mini_trace() -> Trace {
+    fn mini_trace() -> ChunkedTrace {
         let mut meta = TraceMeta::default();
         let site = meta.code.add_site("seq", false);
         let bb = meta.code.add_block(Addr(0x1000), 4, site);
@@ -1389,16 +739,27 @@ mod tests {
         b1.set_mode(Mode::Os);
         b1.rmw(Addr(0x0100_0000), DataClass::InfreqCounter);
         t.streams[1] = b1.finish();
-        t
+        ChunkedTrace::from_trace(&t)
+    }
+
+    /// One stream's decoded events.
+    fn events(t: &ChunkedTrace, cpu: usize) -> Vec<Event> {
+        t.streams[cpu].iter().collect()
+    }
+
+    /// Every stream's decoded events.
+    fn all_events(t: &ChunkedTrace) -> Vec<Vec<Event>> {
+        (0..t.n_cpus()).map(|cpu| events(t, cpu)).collect()
     }
 
     #[test]
     fn privatize_rewrites_updates_and_expands_aggregates() {
         let t = mini_trace();
-        let out = privatize_counters(&t, &[Addr(0x0100_0000)]);
+        let out = TransformPipeline::new()
+            .privatize(&[Addr(0x0100_0000)])
+            .run_chunked(&t);
         // cpu0: rmw → private pair; aggregate read → 2 reads (2 CPUs).
-        let reads0: Vec<Addr> = out.streams[0]
-            .events()
+        let reads0: Vec<Addr> = events(&out, 0)
             .iter()
             .filter_map(|e| match e {
                 Event::Read { addr, .. } => Some(*addr),
@@ -1409,15 +770,14 @@ mod tests {
         assert!(reads0.contains(&private_copy_addr(0, 1)));
         // No reference to the original address survives.
         for s in &out.streams {
-            for e in s.events() {
+            for e in s {
                 if let Some(a) = e.data_addr() {
                     assert_ne!(a, Addr(0x0100_0000));
                 }
             }
         }
         // cpu1's update went to its own copy, a different line.
-        let w1 = out.streams[1]
-            .events()
+        let w1 = events(&out, 1)
             .iter()
             .find_map(|e| match e {
                 Event::Write { addr, .. } => Some(*addr),
@@ -1463,9 +823,9 @@ mod tests {
         let t = mini_trace();
         let mut m = RelocationMap::new();
         m.add(Addr(0x0100_0000), 4, Addr(RELOC_BASE));
-        let out = relocate(&t, &m);
+        let out = TransformPipeline::new().relocate(&m).run_chunked(&t);
         for s in &out.streams {
-            for e in s.events() {
+            for e in s {
                 if let Some(a) = e.data_addr() {
                     assert_ne!(a, Addr(0x0100_0000));
                 }
@@ -1477,8 +837,8 @@ mod tests {
     fn hotspot_prefetch_inserts_ahead_for_loops_and_hoists_for_sequences() {
         let t = mini_trace();
         // site ids: 0 = "seq", 1 = "loop"
-        let out = insert_hotspot_prefetches(&t, &[0, 1]);
-        let evs = out.streams[0].events();
+        let out = HotspotPlan::build_chunked(&t).materialize_chunked(&t, &[0, 1]);
+        let evs = events(&out, 0);
         let n_pref = evs.iter().filter(|e| is_prefetch(e)).count();
         assert!(n_pref >= 2, "expected prefetches, got {n_pref}");
         // A prefetch for the loop read's look-ahead line exists.
@@ -1494,11 +854,14 @@ mod tests {
             .position(|e| matches!(e, Event::SetMode { .. }))
             .unwrap();
         assert!(first_pref > setmode);
+        // The empty hot set is the identity merge.
+        let none = HotspotPlan::build_chunked(&t).materialize_chunked(&t, &[]);
+        assert_eq!(all_events(&none), all_events(&t));
     }
 
     #[test]
     fn update_page_plan_fits_one_page() {
-        let t = oscache_workloads::build(
+        let t = oscache_workloads::build_chunked(
             oscache_workloads::Workload::Trfd4,
             oscache_workloads::BuildOptions {
                 scale: 0.05,
@@ -1506,10 +869,10 @@ mod tests {
                 ..Default::default()
             },
         );
-        let p = crate::analysis::profile_sharing(&t);
+        let p = crate::analysis::profile_sharing_chunked(&t);
         let privatized = crate::analysis::find_privatizable(&p);
         let set = crate::analysis::find_update_set(&p, &privatized);
-        let (map, pages) = update_page_plan(&t, &set);
+        let (map, pages) = update_page_plan_meta(&t.meta, &set);
         assert!(!map.is_empty());
         assert_eq!(pages.len(), 1, "update set must fit one page: {pages:?}");
     }
@@ -1518,7 +881,7 @@ mod tests {
     fn escape_instrumentation_is_low_perturbation() {
         // The §2.2 check: instrumenting every basic block with an escape
         // load must not significantly change the measured OS behaviour.
-        let t = oscache_workloads::build(
+        let t = oscache_workloads::build_chunked(
             oscache_workloads::Workload::TrfdMake,
             oscache_workloads::BuildOptions {
                 scale: 0.1,
@@ -1526,17 +889,17 @@ mod tests {
                 ..Default::default()
             },
         );
-        let instrumented = instrument_escapes(&t);
+        let instrumented = TransformPipeline::new().escapes().run_chunked(&t);
         // Escapes added one read per Exec event.
         let execs: usize = t
             .streams
             .iter()
-            .flat_map(|s| s.events())
+            .flat_map(|s| s.iter())
             .filter(|e| matches!(e, Event::Exec { .. }))
             .count();
         assert_eq!(
-            instrumented.total_reads(),
-            t.total_reads() + execs,
+            instrumented.to_trace().total_reads(),
+            t.to_trace().total_reads() + execs,
             "one escape per basic block"
         );
         let base = crate::sim::run_system(&t, crate::config::System::Base);
@@ -1568,6 +931,15 @@ mod tests {
         );
     }
 
+    /// Colors `t` for a 256-KB L2 and returns the rewritten stream 0.
+    fn colored(t: Trace) -> Vec<Event> {
+        let t = ChunkedTrace::from_trace(&t);
+        let out = TransformPipeline::new()
+            .coloring_chunked(&t, 256 * 1024)
+            .run_chunked(&t);
+        events(&out, 0)
+    }
+
     #[test]
     fn coloring_spreads_conflicting_pages() {
         // Pages all congruent modulo the L2: coloring must separate them.
@@ -1579,16 +951,15 @@ mod tests {
             b.read(Addr(0x1000_0000 + k * 256 * 1024), DataClass::PageFrame);
         }
         t.streams[0] = b.finish();
-        let out = color_pages(&t, 256 * 1024);
-        let colors: std::collections::HashSet<u32> = out.streams[0]
-            .events()
+        let evs = colored(t);
+        let colors: HashSet<u32> = evs
             .iter()
             .filter_map(|e| e.data_addr())
             .map(|a| a.page() % 64)
             .collect();
         assert_eq!(colors.len(), 8, "eight pages must get eight colors");
         // Offsets preserved.
-        let first = out.streams[0].events()[1].data_addr().unwrap();
+        let first = evs[1].data_addr().unwrap();
         assert_eq!(first.page_offset(), 0);
     }
 
@@ -1608,8 +979,7 @@ mod tests {
         b.end_block_op();
         b.read(Addr(0x1000_0008), DataClass::PageFrame);
         t.streams[0] = b.finish();
-        let out = color_pages(&t, 256 * 1024);
-        let evs = out.streams[0].events();
+        let evs = colored(t);
         let (src, dst) = match evs[0] {
             Event::BlockOpBegin { op } => (op.src, op.dst),
             _ => unreachable!(),
@@ -1630,182 +1000,25 @@ mod tests {
         b.read(Addr(0x0100_0000), DataClass::InfreqCounter);
         b.read(Addr(0x1000_0000), DataClass::PageFrame);
         t.streams[0] = b.finish();
-        let out = color_pages(&t, 256 * 1024);
-        let evs = out.streams[0].events();
+        let evs = colored(t);
         assert_eq!(evs[0].data_addr().unwrap(), Addr(0x0100_0000));
         assert_ne!(evs[1].data_addr().unwrap(), Addr(0x1000_0000));
     }
 
-    /// Asserts two traces are event-for-event identical.
-    fn assert_traces_equal(a: &Trace, b: &Trace, what: &str) {
-        assert_eq!(a.streams.len(), b.streams.len(), "{what}: stream count");
-        for (cpu, (sa, sb)) in a.streams.iter().zip(&b.streams).enumerate() {
-            assert_eq!(
-                sa.len(),
-                sb.len(),
-                "{what}: cpu{cpu} length {} vs {}",
-                sa.len(),
-                sb.len()
-            );
-            for (i, (ea, eb)) in sa.events().iter().zip(sb.events()).enumerate() {
-                assert_eq!(ea, eb, "{what}: cpu{cpu} event {i}");
-            }
-        }
-    }
-
-    fn workload_trace() -> Trace {
-        oscache_workloads::build(
-            oscache_workloads::Workload::Trfd4,
-            oscache_workloads::BuildOptions {
-                scale: 0.05,
-                seed: 7,
-                ..Default::default()
-            },
-        )
-    }
-
     #[test]
-    fn pipeline_matches_compat_single_passes() {
-        let t = workload_trace();
-        let p = crate::analysis::profile_sharing(&t);
-        let privatized = crate::analysis::find_privatizable(&p);
-        assert!(!privatized.is_empty(), "need privatization targets");
-        assert_traces_equal(
-            &privatize_counters(&t, &privatized),
-            &compat::privatize_counters(&t, &privatized),
-            "privatize",
-        );
-        let plan = false_sharing_plan(&t, &HashSet::new());
-        assert!(!plan.is_empty(), "need relocation ranges");
-        assert_traces_equal(
-            &relocate(&t, &plan),
-            &compat::relocate(&t, &plan),
-            "relocate",
-        );
-        assert_traces_equal(
-            &instrument_escapes(&t),
-            &compat::instrument_escapes(&t),
-            "escapes",
-        );
-        assert_traces_equal(
-            &color_pages(&t, 256 * 1024),
-            &compat::color_pages(&t, 256 * 1024),
-            "coloring",
-        );
-        // Hot-spot insertion over every non-block-op site, loop and
-        // sequence alike, exercising both insertion shapes and hoisting.
-        let sites: Vec<u16> = t.meta.code.sites().map(|(id, _)| id.0).collect();
-        assert_traces_equal(
-            &insert_hotspot_prefetches(&t, &sites),
-            &compat::insert_hotspot_prefetches(&t, &sites),
-            "hotspot",
-        );
-    }
-
-    #[test]
-    fn fused_pipeline_matches_compat_composition() {
-        // The fused walk must equal the pass-by-pass *composition* in the
-        // pipeline's stage order, with every stage enabled at once.
-        let t = workload_trace();
-        let p = crate::analysis::profile_sharing(&t);
-        let privatized = crate::analysis::find_privatizable(&p);
-        let mut plan = false_sharing_plan(&t, &HashSet::new());
-        plan.finish();
-        let sites: Vec<u16> = t.meta.code.sites().map(|(id, _)| id.0).collect();
-
-        let fused = TransformPipeline::new()
-            .coloring(&t, 256 * 1024)
-            .privatize(&privatized)
-            .relocate(&plan)
-            .escapes()
-            .hotspot(&sites)
-            .run(&t);
-
-        let staged = compat::color_pages(&t, 256 * 1024);
-        let staged = compat::privatize_counters(&staged, &privatized);
-        let staged = compat::relocate(&staged, &plan);
-        let staged = compat::instrument_escapes(&staged);
-        let staged = compat::insert_hotspot_prefetches(&staged, &sites);
-        assert_traces_equal(&fused, &staged, "fused C+P+R+E+H");
-    }
-
-    #[test]
-    fn chunked_pipeline_matches_flat_pipeline() {
-        let t = workload_trace();
-        let ct = ChunkedTrace::from_trace(&t);
-        let p = crate::analysis::profile_sharing(&t);
-        let privatized = crate::analysis::find_privatizable(&p);
-        assert!(!privatized.is_empty(), "need privatization targets");
-        let mut plan = false_sharing_plan(&t, &HashSet::new());
-        plan.finish();
-
-        // Every stage except hot-spot, fused.
-        let flat = TransformPipeline::new()
-            .coloring(&t, 256 * 1024)
-            .privatize(&privatized)
-            .relocate(&plan)
-            .escapes()
-            .run(&t);
-        let chunked = TransformPipeline::new()
-            .coloring_chunked(&ct, 256 * 1024)
-            .privatize(&privatized)
-            .relocate(&plan)
-            .escapes()
-            .run_chunked(&ct);
-        assert_traces_equal(&flat, &chunked.to_trace(), "chunked C+P+R+E");
-        chunked.validate().expect("chunked output validates");
-
-        // The identity pipeline is a chunk-level copy.
-        let id = TransformPipeline::new().run_chunked(&ct);
-        assert_traces_equal(&t, &id.to_trace(), "chunked identity");
-    }
-
-    #[test]
-    fn chunked_hotspot_plan_matches_flat_insertion() {
-        let t = workload_trace();
-        let ct = ChunkedTrace::from_trace(&t);
-        let sites: Vec<u16> = t.meta.code.sites().map(|(id, _)| id.0).collect();
-        let plan = HotspotPlan::build_chunked(&ct);
-        assert_traces_equal(
-            &insert_hotspot_prefetches(&t, &sites),
-            &plan.materialize_chunked(&ct, &sites).to_trace(),
-            "chunked hotspot all sites",
-        );
-        // A subset and the empty set (identity merge).
-        let some: Vec<u16> = sites.iter().copied().take(sites.len() / 2).collect();
-        assert_traces_equal(
-            &insert_hotspot_prefetches(&t, &some),
-            &plan.materialize_chunked(&ct, &some).to_trace(),
-            "chunked hotspot subset",
-        );
-        assert_traces_equal(
-            &t,
-            &plan.materialize_chunked(&ct, &[]).to_trace(),
-            "chunked hotspot empty set",
-        );
-        // And the plan itself matches the flat-built plan's output.
-        let flat_plan = HotspotPlan::build(&t);
-        assert_traces_equal(
-            &flat_plan.materialize(&t, &sites),
-            &plan.materialize_chunked(&ct, &sites).to_trace(),
-            "chunked vs flat plan",
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "HotspotPlan")]
-    fn run_chunked_rejects_hotspot_stage() {
-        let t = workload_trace();
-        let ct = ChunkedTrace::from_trace(&t);
-        TransformPipeline::new().hotspot(&[0]).run_chunked(&ct);
+    fn identity_pipeline_is_a_chunk_level_copy() {
+        let t = mini_trace();
+        let id = TransformPipeline::new();
+        assert!(id.is_identity());
+        assert_eq!(all_events(&id.run_chunked(&t)), all_events(&t));
     }
 
     #[test]
     fn static_pages_cover_the_static_area() {
         let t = mini_trace();
         // mini trace has no vars; use a workload trace.
-        assert!(static_pages(&t).is_empty());
-        let t2 = oscache_workloads::build(
+        assert!(static_pages_meta(&t.meta).is_empty());
+        let t2 = oscache_workloads::build_chunked(
             oscache_workloads::Workload::Shell,
             oscache_workloads::BuildOptions {
                 scale: 0.05,
@@ -1813,7 +1026,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let pages = static_pages(&t2);
+        let pages = static_pages_meta(&t2.meta);
         assert!(!pages.is_empty());
     }
 }

@@ -4,7 +4,7 @@
 
 use oscache_core::{analysis, transform, Geometry, System};
 use oscache_memsys::{AuditLevel, Machine};
-use oscache_workloads::{build, BuildOptions, Workload};
+use oscache_workloads::{build_chunked, BuildOptions, Workload};
 use std::time::Instant;
 
 #[test]
@@ -15,7 +15,7 @@ fn attribute_prepare_time() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(1.0);
     let t0 = Instant::now();
-    let t = build(
+    let t = build_chunked(
         Workload::Trfd4,
         BuildOptions {
             scale,
@@ -30,7 +30,7 @@ fn attribute_prepare_time() {
     let geometry = Geometry::default();
 
     let t0 = Instant::now();
-    let profile = analysis::profile_sharing(&t);
+    let profile = analysis::profile_sharing_chunked(&t);
     println!("profile_sharing: {:?}", t0.elapsed());
 
     let t0 = Instant::now();
@@ -39,7 +39,7 @@ fn attribute_prepare_time() {
 
     let t0 = Instant::now();
     let set = analysis::find_update_set(&profile, &privatized);
-    let (mut plan, _pages) = transform::update_page_plan(&t, &set);
+    let (mut plan, _pages) = transform::update_page_plan_meta(&t.meta, &set);
     println!(
         "update_page_plan: {:?} ({} ranges)",
         t0.elapsed(),
@@ -55,7 +55,7 @@ fn attribute_prepare_time() {
             placed.insert(w.0);
         }
     }
-    let fs = transform::false_sharing_plan(&t, &placed);
+    let fs = transform::false_sharing_plan_meta(&t.meta, &placed);
     for v in &t.meta.vars {
         if v.false_shared_group.is_some()
             && !placed.contains(&v.addr.0)
@@ -70,15 +70,15 @@ fn attribute_prepare_time() {
     println!("merge plans: {:?} ({} ranges)", t0.elapsed(), plan.len());
 
     let t0 = Instant::now();
-    let t1 = t.clone();
-    println!("clone: {:?}", t0.elapsed());
-
-    let t0 = Instant::now();
-    let t2 = transform::privatize_counters(&t1, &privatized);
+    let t2 = transform::TransformPipeline::new()
+        .privatize(&privatized)
+        .run_chunked(&t);
     println!("privatize_counters: {:?}", t0.elapsed());
 
     let t0 = Instant::now();
-    let t3 = transform::relocate(&t2, &plan);
+    let t3 = transform::TransformPipeline::new()
+        .relocate(&plan)
+        .run_chunked(&t2);
     println!("relocate: {:?}", t0.elapsed());
 
     let t0 = Instant::now();
@@ -90,7 +90,7 @@ fn attribute_prepare_time() {
 
     let t0 = Instant::now();
     let hot = analysis::find_hot_spots(&stats.total(), &t3.meta.code);
-    let t4 = transform::insert_hotspot_prefetches(&t3, &hot);
+    let t4 = transform::HotspotPlan::build_chunked(&t3).materialize_chunked(&t3, &hot);
     println!("hotspot insert: {:?}", t0.elapsed());
 
     let n: usize = t4.streams.iter().map(|s| s.len()).sum();

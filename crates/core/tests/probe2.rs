@@ -1,6 +1,6 @@
 use oscache_kernel::Kernel;
 use oscache_memsys::{Machine, MachineConfig};
-use oscache_trace::{CodeLayout, Mode, StreamBuilder, Trace, TraceMeta};
+use oscache_trace::{ChunkedTrace, CodeLayout, Mode, StreamBuilder, Trace, TraceMeta};
 use oscache_workloads::{UserProc, UserPrograms};
 
 #[test]
@@ -33,7 +33,7 @@ fn user_only() {
             },
         );
         t.streams[0] = b.finish();
-        let s = Machine::new(MachineConfig::base(), &t)
+        let s = Machine::new(MachineConfig::base(), &ChunkedTrace::from_trace(&t))
             .unwrap()
             .run()
             .unwrap();

@@ -7,21 +7,24 @@
 //! times must match a fully-recorded run *bit for bit*. These tests pin
 //! that claim against the real ladder (every system × every workload) and
 //! against seeded-PRNG random traces, and pin the hot-spot insertion plan
-//! against the single-set rewrite pipeline it replaces.
+//! against the pass-by-pass insertion oracle.
 
-use oscache_core::transform::{HotspotPlan, TransformPipeline};
-use oscache_core::{analysis, analyze_cell, try_run_spec_audited, Geometry, System};
-use oscache_memsys::{profile_os_misses, AuditLevel, Machine, MachineConfig, SimStats};
+mod common;
+
+use common::{assert_traces_equal, compat};
+use oscache_core::transform::HotspotPlan;
+use oscache_core::{analysis, analyze_cell_chunked, try_run_spec_audited, Geometry, System};
+use oscache_memsys::{profile_os_misses_chunked, AuditLevel, Machine, MachineConfig, SimStats};
 use oscache_trace::rng::{Rng, SmallRng};
-use oscache_trace::{Addr, DataClass, Mode, StreamBuilder, Trace, TraceMeta};
-use oscache_workloads::{build, BuildOptions, Workload};
+use oscache_trace::{Addr, ChunkedTrace, DataClass, Mode, StreamBuilder, Trace, TraceMeta};
+use oscache_workloads::{build_chunked, BuildOptions, Workload};
 
 /// Reduced trace scale: big enough for thousands of misses per cell,
 /// small enough to run the full ladder oracle in seconds.
 const SCALE: f64 = 0.08;
 
-fn trace_of(workload: Workload) -> Trace {
-    build(
+fn trace_of(workload: Workload) -> ChunkedTrace {
+    build_chunked(
         workload,
         BuildOptions {
             scale: SCALE,
@@ -34,12 +37,12 @@ fn trace_of(workload: Workload) -> Trace {
 /// the same input and asserts everything the profiler promises to be
 /// exact: per-CPU and aggregate `os_miss_by_site`, the OS read-miss
 /// total, and the per-CPU simulated finish times.
-fn assert_profiler_exact(cfg: MachineConfig, trace: &Trace, what: &str) -> SimStats {
+fn assert_profiler_exact(cfg: MachineConfig, trace: &ChunkedTrace, what: &str) -> SimStats {
     let full = Machine::new(cfg.clone(), trace)
         .unwrap_or_else(|e| panic!("{what}: {e}"))
         .run()
         .unwrap_or_else(|e| panic!("{what}: {e}"));
-    let prof = profile_os_misses(cfg, trace).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let prof = profile_os_misses_chunked(cfg, trace).unwrap_or_else(|e| panic!("{what}: {e}"));
     assert_eq!(
         prof.cpu_times, full.cpu_times,
         "{what}: profiler changed the simulated clocks"
@@ -63,11 +66,11 @@ fn assert_profiler_exact(cfg: MachineConfig, trace: &Trace, what: &str) -> SimSt
     full
 }
 
-/// The profiling input `prepare_from_analysis` would hand the profiler
-/// for this (workload trace, system, geometry) cell.
-fn profiling_cfg(trace: &Trace, system: System, geometry: Geometry) -> MachineConfig {
+/// The profiling input `prepare_from_analysis_chunked` would hand the
+/// profiler for this (workload trace, system, geometry) cell.
+fn profiling_cfg(trace: &ChunkedTrace, system: System, geometry: Geometry) -> MachineConfig {
     let spec = system.spec();
-    let analyzed = analyze_cell(trace, spec);
+    let analyzed = analyze_cell_chunked(trace, spec);
     let mut cfg = geometry.machine_config(&spec);
     cfg.n_cpus = trace.n_cpus();
     cfg.update_pages = analyzed.update_pages.clone();
@@ -76,7 +79,7 @@ fn profiling_cfg(trace: &Trace, system: System, geometry: Geometry) -> MachineCo
 
 /// Every ladder system on every workload, at the default geometry and the
 /// two sweep extremes the figures probe: the profiler's outputs must equal
-/// the fully-recorded machine's on exactly the traces `prepare_cell`
+/// the fully-recorded machine's on exactly the traces cell preparation
 /// profiles.
 #[test]
 fn profiler_matches_machine_across_ladder() {
@@ -102,7 +105,7 @@ fn profiler_matches_machine_across_ladder() {
         let base = trace_of(workload);
         for system in System::all() {
             let spec = system.spec();
-            let analyzed = analyze_cell(&base, spec);
+            let analyzed = analyze_cell_chunked(&base, spec);
             let working = analyzed.trace.as_deref().unwrap_or(&base);
             for (glabel, geometry) in geometries {
                 let mut cfg = geometry.machine_config(&spec);
@@ -159,26 +162,28 @@ fn profiler_matches_machine_on_random_traces() {
         }
         let mut cfg = MachineConfig::base();
         cfg.n_cpus = n_cpus;
+        let t = ChunkedTrace::from_trace(&t);
         assert_profiler_exact(cfg, &t, &format!("random seed {seed}"));
     }
 }
 
 /// The precomputed hot-spot insertion plan must materialize, for every hot
 /// set the ladder actually ranks (plus synthetic subsets), the exact event
-/// streams the single-set rewrite pipeline emits.
+/// streams the pass-by-pass insertion emits.
 #[test]
-fn hotspot_plan_matches_pipeline_rewrite() {
+fn hotspot_plan_matches_compat_rewrite() {
     for workload in [Workload::Trfd4, Workload::Shell, Workload::Arc2dFsck] {
         let base = trace_of(workload);
         let spec = System::BCPref.spec();
-        let analyzed = analyze_cell(&base, spec);
+        let analyzed = analyze_cell_chunked(&base, spec);
         let working = analyzed.trace.as_deref().unwrap_or(&base);
         let cfg = profiling_cfg(&base, System::BCPref, Geometry::default());
-        let stats = profile_os_misses(cfg, working).unwrap();
+        let stats = profile_os_misses_chunked(cfg, working).unwrap();
         let hot = analysis::find_hot_spots(&stats.total(), &working.meta.code);
         assert!(!hot.is_empty(), "{workload:?}: no hot sites ranked");
 
-        let plan = HotspotPlan::build(working);
+        let plan = HotspotPlan::build_chunked(working);
+        let flat = working.to_trace();
         let mut sets: Vec<Vec<u16>> = vec![hot.clone(), vec![hot[0]]];
         // A rotated subset exercises orderings the ranking never produces.
         if hot.len() > 2 {
@@ -187,15 +192,11 @@ fn hotspot_plan_matches_pipeline_rewrite() {
             sets.push(rot);
         }
         for set in sets {
-            let planned = plan.materialize(working, &set);
-            let piped = TransformPipeline::new().hotspot(&set).run(working);
-            for cpu in 0..working.n_cpus() {
-                assert_eq!(
-                    planned.streams[cpu].events(),
-                    piped.streams[cpu].events(),
-                    "{workload:?}: cpu {cpu} rewrite differs for set {set:?}"
-                );
-            }
+            assert_traces_equal(
+                &plan.materialize_chunked(working, &set).to_trace(),
+                &compat::insert_hotspot_prefetches(&flat, &set),
+                &format!("{workload:?}: set {set:?}"),
+            );
         }
     }
 }

@@ -1,13 +1,37 @@
 //! Property-style tests of the analysis and transform passes, driven by
 //! the in-tree deterministic PRNG so every failure reproduces exactly.
 
-use oscache_core::transform::{
-    insert_hotspot_prefetches, privatize_counters, relocate, RelocationMap,
-};
+use oscache_core::transform::{HotspotPlan, RelocationMap, TransformPipeline};
 use oscache_trace::rng::{Rng, SmallRng};
-use oscache_trace::{Addr, DataClass, Event, Mode, StreamBuilder, Trace, TraceMeta};
+use oscache_trace::{Addr, ChunkedTrace, DataClass, Event, Mode, StreamBuilder, Trace, TraceMeta};
 
 const SEEDS: std::ops::Range<u64> = 0..24;
+
+/// The relocation stage alone, decoded for inspection.
+fn relocate(t: &Trace, map: &RelocationMap) -> Trace {
+    let ct = ChunkedTrace::from_trace(t);
+    TransformPipeline::new()
+        .relocate(map)
+        .run_chunked(&ct)
+        .to_trace()
+}
+
+/// The privatization stage alone, decoded for inspection.
+fn privatize_counters(t: &Trace, targets: &[Addr]) -> Trace {
+    let ct = ChunkedTrace::from_trace(t);
+    TransformPipeline::new()
+        .privatize(targets)
+        .run_chunked(&ct)
+        .to_trace()
+}
+
+/// Hot-spot prefetch insertion at `hot_sites`, decoded for inspection.
+fn insert_hotspot_prefetches(t: &Trace, hot_sites: &[u16]) -> Trace {
+    let ct = ChunkedTrace::from_trace(t);
+    HotspotPlan::build_chunked(&ct)
+        .materialize_chunked(&ct, hot_sites)
+        .to_trace()
+}
 
 fn random_refs(rng: &mut SmallRng, max_addr: u32, max_len: usize) -> Vec<(u32, bool)> {
     let n = rng.gen_range(1..max_len);
@@ -155,11 +179,11 @@ fn prefetch_insertion_is_additive() {
     }
 }
 
-/// `apply_deferred_copy` never removes more events than the read-only
-/// copies' footprints, and leaves a trace the machine can replay.
+/// `apply_deferred_copy_chunked` never removes more events than the
+/// read-only copies' footprints, and leaves a trace the machine can replay.
 #[test]
 fn deferred_copy_is_safe_on_random_copy_chains() {
-    use oscache_core::deferred::{analyze, apply_deferred_copy};
+    use oscache_core::deferred::{analyze_chunked, apply_deferred_copy_chunked};
     for seed in SEEDS {
         let mut rng = SmallRng::seed_from_u64(seed);
         let lens: Vec<u32> = (0..rng.gen_range(1usize..10))
@@ -189,9 +213,10 @@ fn deferred_copy_is_safe_on_random_copy_chains() {
             }
         }
         t.streams[0] = b.finish();
-        let counts = analyze(&t);
+        let ct = ChunkedTrace::from_trace(&t);
+        let counts = analyze_chunked(&ct);
         assert_eq!(counts.small_copies as usize, lens.len());
-        let out = apply_deferred_copy(&t);
+        let out = apply_deferred_copy_chunked(&ct).to_trace();
         // All copies are read-only (no later writes): every bracket goes.
         let remaining = out.streams[0]
             .events()
@@ -204,7 +229,7 @@ fn deferred_copy_is_safe_on_random_copy_chains() {
         t4.streams[0] = out.streams[0].clone();
         let cfg =
             oscache_memsys::MachineConfig::base().with_audit(oscache_memsys::AuditLevel::Strict);
-        let s = oscache_memsys::Machine::new(cfg, &t4)
+        let s = oscache_memsys::Machine::new(cfg, &ChunkedTrace::from_trace(&t4))
             .unwrap()
             .run()
             .unwrap();

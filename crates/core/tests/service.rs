@@ -6,12 +6,15 @@
 //! request.
 
 use oscache_core::service::{
-    parse_reply, parse_request, reply_line, run_request_line, Admission, CellProgress, Event,
-    Reply, RequestReport, RunRequest, Server, ServiceConfig, ServiceStats, WireRequest,
+    handle_connection, parse_reply, parse_request, reply_line, run_request_line, Admission,
+    CellProgress, Event, Reply, RequestReport, RunRequest, Server, ServiceConfig, ServiceStats,
+    WireRequest, MAX_REQUEST_LINE,
 };
 use oscache_core::{render_experiment, Experiment, Journal, JournalHeader, Repro, RunPolicy};
 use oscache_workloads::BuildOptions;
+use std::io::{Read, Write};
 use std::path::PathBuf;
+use std::sync::atomic::AtomicBool;
 
 const SCALE: f64 = 0.02;
 
@@ -318,4 +321,55 @@ fn wire_protocol_round_trips_requests_and_replies() {
         Reply::Rejected { status } => assert_eq!(status, "overloaded"),
         _ => panic!("expected rejection"),
     }
+}
+
+/// An in-memory connection: serves `input` to reads, counting the bytes
+/// handed out, and captures every written byte.
+struct MemConn {
+    input: Vec<u8>,
+    read: usize,
+    written: Vec<u8>,
+}
+
+impl Read for MemConn {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(self.input.len() - self.read);
+        buf[..n].copy_from_slice(&self.input[self.read..self.read + n]);
+        self.read += n;
+        Ok(n)
+    }
+}
+
+impl Write for MemConn {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.written.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_newline_free_client_gets_one_error_and_is_disconnected_early() {
+    let server = Server::start(config(1), None);
+    let mut conn = MemConn {
+        input: vec![b'x'; 1 << 20],
+        read: 0,
+        written: Vec::new(),
+    };
+    handle_connection(&server, &mut conn, &AtomicBool::new(false));
+    server.stop();
+    let replies = String::from_utf8(conn.written).unwrap();
+    let lines: Vec<&str> = replies.lines().collect();
+    assert_eq!(lines.len(), 1, "expected exactly one reply: {replies:?}");
+    match parse_reply(lines[0]).expect("a well-formed reply") {
+        Reply::Error(msg) => assert!(msg.starts_with("request-too-large"), "{msg}"),
+        _ => panic!("expected an error reply, got {:?}", lines[0]),
+    }
+    assert!(
+        conn.read <= MAX_REQUEST_LINE + 4096,
+        "read {} bytes before disconnecting",
+        conn.read
+    );
 }

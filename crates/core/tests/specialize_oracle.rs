@@ -11,18 +11,18 @@
 //! counts. Any divergence means a specialized loop folded away something
 //! that was not actually constant.
 
-use oscache_core::{analyze_cell, Geometry, System};
+use oscache_core::{analyze_cell_chunked, Geometry, System};
 use oscache_memsys::{AuditLevel, Machine, MachineConfig, SimStats};
 use oscache_trace::rng::{Rng, SmallRng};
-use oscache_trace::{Addr, DataClass, Mode, StreamBuilder, Trace, TraceMeta};
-use oscache_workloads::{build, BuildOptions, Workload};
+use oscache_trace::{Addr, ChunkedTrace, DataClass, Mode, StreamBuilder, Trace, TraceMeta};
+use oscache_workloads::{build_chunked, BuildOptions, Workload};
 
 /// Reduced trace scale: big enough for thousands of misses per cell,
 /// small enough to run the full ladder differential in seconds.
 const SCALE: f64 = 0.08;
 
-fn trace_of(workload: Workload) -> Trace {
-    build(
+fn trace_of(workload: Workload) -> ChunkedTrace {
+    build_chunked(
         workload,
         BuildOptions {
             scale: SCALE,
@@ -37,7 +37,7 @@ fn trace_of(workload: Workload) -> Trace {
 /// failure message), the final machine-state digest, and the step count.
 fn assert_spec_matches_generic(
     cfg: MachineConfig,
-    trace: &Trace,
+    trace: &ChunkedTrace,
     record: bool,
     what: &str,
 ) -> SimStats {
@@ -71,7 +71,7 @@ fn assert_spec_matches_generic(
 
 /// Every ladder system on every workload, at the default geometry and the
 /// two sweep extremes the figures probe: the specialized replay must equal
-/// the generic oracle bit for bit on exactly the traces `prepare_cell`
+/// the generic oracle bit for bit on exactly the traces cell preparation
 /// simulates.
 #[test]
 fn specialized_replay_matches_generic_across_ladder() {
@@ -97,7 +97,7 @@ fn specialized_replay_matches_generic_across_ladder() {
         let base = trace_of(workload);
         for system in System::all() {
             let spec = system.spec();
-            let analyzed = analyze_cell(&base, spec);
+            let analyzed = analyze_cell_chunked(&base, spec);
             let working = analyzed.trace.as_deref().unwrap_or(&base);
             for (glabel, geometry) in geometries {
                 let mut cfg = geometry.machine_config(&spec);
@@ -119,7 +119,7 @@ fn specialized_profiling_replay_matches_generic() {
         let base = trace_of(workload);
         for system in System::all() {
             let spec = system.spec();
-            let analyzed = analyze_cell(&base, spec);
+            let analyzed = analyze_cell_chunked(&base, spec);
             let working = analyzed.trace.as_deref().unwrap_or(&base);
             let mut cfg = Geometry::default().machine_config(&spec);
             cfg.n_cpus = base.n_cpus();
@@ -138,7 +138,7 @@ fn specialized_profiling_replay_matches_generic() {
 fn audited_replays_fall_back_and_agree() {
     let base = trace_of(Workload::Shell);
     let spec = System::BCohRelUp.spec();
-    let analyzed = analyze_cell(&base, spec);
+    let analyzed = analyze_cell_chunked(&base, spec);
     let working = analyzed.trace.as_deref().unwrap_or(&base);
     let mut cfg = Geometry::default().machine_config(&spec);
     cfg.n_cpus = base.n_cpus();
@@ -215,6 +215,7 @@ fn specialized_replay_matches_generic_on_random_traces() {
         if seed % 3 == 0 {
             cfg.update_pages.insert(0x0100_0000 >> 12);
         }
+        let t = ChunkedTrace::from_trace(&t);
         for record in [true, false] {
             let what = format!("random seed {seed} record={record}");
             assert_spec_matches_generic(cfg.clone(), &t, record, &what);

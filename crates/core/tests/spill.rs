@@ -37,7 +37,7 @@ fn identity(seed: u64) -> StoreIdentity {
 }
 
 /// A random valid multi-CPU trace exercising the full event vocabulary —
-/// the same generator shape the streaming oracle uses, so failures
+/// the same generator shape the decode-ahead tests use, so failures
 /// reproduce from the seed alone.
 fn random_trace(rng: &mut SmallRng) -> Trace {
     let n_cpus = 4;
@@ -141,9 +141,9 @@ fn spilled_replay_matches_in_memory_across_capacities() {
             );
             for prefetch in [false, true] {
                 let what = format!("seed {seed} capacity {capacity} prefetch {prefetch}");
-                let mut m0 = Machine::with_recording_chunked(MachineConfig::base(), &inmem, true)
+                let mut m0 = Machine::with_recording(MachineConfig::base(), &inmem, true)
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
-                let mut m1 = Machine::with_recording_chunked(MachineConfig::base(), &spilled, true)
+                let mut m1 = Machine::with_recording(MachineConfig::base(), &spilled, true)
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
                 m0.set_decode_prefetch(prefetch);
                 m1.set_decode_prefetch(prefetch);
@@ -154,10 +154,9 @@ fn spilled_replay_matches_in_memory_across_capacities() {
                     "{what}: final machine states diverge"
                 );
                 assert_eq!(m0.steps(), m1.steps(), "{what}: event counts diverge");
-                let mut g0 =
-                    Machine::with_recording_chunked(MachineConfig::base(), &inmem, true).unwrap();
+                let mut g0 = Machine::with_recording(MachineConfig::base(), &inmem, true).unwrap();
                 let mut g1 =
-                    Machine::with_recording_chunked(MachineConfig::base(), &spilled, true).unwrap();
+                    Machine::with_recording(MachineConfig::base(), &spilled, true).unwrap();
                 g0.set_decode_prefetch(prefetch);
                 g1.set_decode_prefetch(prefetch);
                 assert_eq!(

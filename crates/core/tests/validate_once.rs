@@ -17,7 +17,7 @@ use oscache_core::experiments::figure6_sweep;
 use oscache_core::runner::{run_cells, TraceCache};
 use oscache_core::{
     analyze_cell_chunked, prepare_from_analysis_chunked, run_prepared_chunked,
-    try_run_spec_audited_chunked, AnalysisPrefix, Experiment, Geometry, System, SystemSpec,
+    try_run_spec_audited, AnalysisPrefix, Experiment, Geometry, System, SystemSpec,
 };
 use oscache_memsys::{AuditLevel, SimError};
 use oscache_trace::{ChunkedTrace, Event, Stream};
@@ -185,8 +185,7 @@ fn concurrent_preparers_share_one_validated_rewrite() {
     let walks = analyzed.validation_walks();
     assert!((2..=3).contains(&walks), "{walks} validation walks");
 
-    let serial =
-        try_run_spec_audited_chunked(&base, spec, geometry, AuditLevel::Off).expect("serial run");
+    let serial = try_run_spec_audited(&base, spec, geometry, AuditLevel::Off).expect("serial run");
     for p in &prepared {
         let run = run_prepared_chunked(&base, p, spec, geometry, AuditLevel::Off).expect("run");
         assert_eq!(run.stats, serial.stats);
@@ -212,6 +211,6 @@ fn audited_preparation_reuses_the_memo() {
     assert!(phases.validate_ms > 0.0);
     let audited = run_prepared_chunked(&base, &strict, spec, geometry, AuditLevel::Strict)
         .expect("strict run");
-    let plain = try_run_spec_audited_chunked(&base, spec, geometry, AuditLevel::Off).unwrap();
+    let plain = try_run_spec_audited(&base, spec, geometry, AuditLevel::Off).unwrap();
     assert_eq!(audited.stats, plain.stats);
 }

@@ -21,7 +21,7 @@
 //!   `Blk_ByPref`, and the DMA-like `Blk_Dma` engine), selected by
 //!   [`BlockOpScheme`].
 //!
-//! [`Machine::run`] replays an [`oscache_trace::Trace`] and returns
+//! [`Machine::run`] replays an [`oscache_trace::ChunkedTrace`] and returns
 //! [`SimStats`], from which every table and figure of the paper is derived.
 //! Malformed traces and violated machine invariants surface as typed
 //! [`SimError`]s rather than panics; [`AuditLevel`] selects how much
@@ -32,7 +32,7 @@
 //!
 //! ```
 //! use oscache_memsys::{AuditLevel, Machine, MachineConfig};
-//! use oscache_trace::{Addr, DataClass, Mode, StreamBuilder, Trace, TraceMeta};
+//! use oscache_trace::{Addr, ChunkedTrace, DataClass, Mode, StreamBuilder, Trace, TraceMeta};
 //!
 //! let mut meta = TraceMeta::default();
 //! let site = meta.code.add_site("demo", false);
@@ -43,6 +43,7 @@
 //! b.exec(bb);
 //! b.read(Addr(0x0100_0000), DataClass::RunQueue);
 //! trace.streams[0] = b.finish();
+//! let trace = ChunkedTrace::from_trace(&trace);
 //!
 //! let cfg = MachineConfig::base().with_audit(AuditLevel::Strict);
 //! let stats = Machine::new(cfg, &trace).unwrap().run().unwrap();
@@ -76,7 +77,7 @@ pub use error::{InvariantKind, SimError, SimErrorKind};
 pub use history::{BypassSet, Departure, HistoryMap};
 pub use machine::{decode_prefetch_enabled, Machine, OverlapStats, CANCEL_POLL_STRIDE};
 pub use prefetch::{MshrSet, PrefetchBuffer};
-pub use profiler::{profile_os_misses, profile_os_misses_chunked};
+pub use profiler::profile_os_misses_chunked;
 pub use spec::SpecKey;
 pub use stats::{CpuStats, MissKind, ModeSplit, SimStats};
 pub use wbuf::WriteBuffer;

@@ -1,6 +1,6 @@
 //! The trace-driven multiprocessor machine model.
 //!
-//! [`Machine`] replays a multiprocessor [`Trace`] against the §2.4
+//! [`Machine`] replays a multiprocessor [`ChunkedTrace`] against the §2.4
 //! architecture: per-CPU L1I/L1D/L2 caches with write buffers, a shared
 //! split-transaction bus with full contention, Illinois-MESI invalidation
 //! coherence with optional per-page Firefly updates (§5.2), software
@@ -30,7 +30,6 @@ use crate::stats::{CpuStats, MissKind, SimStats};
 use crate::{AuditLevel, BlockOpScheme, Bus, BusOp, Cache, LineState, MachineConfig, WriteBuffer};
 use oscache_trace::{
     Addr, BasicBlock, BlockOp, ChunkedStream, ChunkedTrace, DataClass, Event, LineAddr, Mode,
-    Trace, TraceMeta,
 };
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -156,18 +155,6 @@ struct BarrierState {
     arrived: Vec<usize>,
 }
 
-/// Where the machine pulls its reference streams from: the historical
-/// materialized trace (events indexed directly from the flat `Vec`), or a
-/// chunked trace decoded on demand through per-CPU [`DecodeWindow`]s so
-/// the replay's decoded footprint is one chunk per CPU. Both sources feed
-/// the identical dispatch path; the streaming oracle pins them bitwise
-/// against each other.
-#[derive(Clone, Copy)]
-pub(crate) enum Source<'t> {
-    Flat(&'t Trace),
-    Chunked(&'t ChunkedTrace),
-}
-
 /// One CPU's decode window over a chunked stream: the single decoded
 /// chunk its cursor (or a bounded scan like the DMA bracket skip) is
 /// currently inside. Pure cache — never part of [`Machine::state_digest`].
@@ -195,7 +182,7 @@ impl Default for DecodeWindow {
 /// `REPRO_NO_PREFETCH` set to any non-empty value other than `0` routes
 /// every chunked replay through purely synchronous decode — the escape
 /// hatch the schedule-oracle CI job pins goldens against. Mirrors the
-/// `REPRO_NO_SPECIALIZE` / `REPRO_NO_STREAMING` gates.
+/// `REPRO_NO_SPECIALIZE` gate.
 pub(crate) fn prefetch_disabled_by_env() -> bool {
     match std::env::var_os("REPRO_NO_PREFETCH") {
         Some(v) => !v.is_empty() && v != "0",
@@ -311,14 +298,13 @@ fn decode_helper(trace: &ChunkedTrace, shared: &PrefetchShared) {
 /// The simulated multiprocessor.
 pub struct Machine<'t> {
     pub(crate) cfg: MachineConfig,
-    src: Source<'t>,
-    /// The trace metadata (code layout for `Exec` resolution), shared by
-    /// both source representations.
-    pub(crate) meta: &'t TraceMeta,
+    /// The replayed trace; events are decoded on demand through per-CPU
+    /// [`DecodeWindow`]s, so the decoded footprint is one chunk per CPU.
+    trace: &'t ChunkedTrace,
     /// Per-CPU stream lengths, hoisted so end-of-stream checks never
-    /// touch the source representation.
+    /// touch the streams.
     stream_len: Vec<usize>,
-    /// Per-CPU decode windows (used only with [`Source::Chunked`]).
+    /// Per-CPU decode windows.
     windows: Vec<DecodeWindow>,
     pub(crate) cpus: Vec<Cpu>,
     pub(crate) bus: Bus,
@@ -364,17 +350,18 @@ pub struct Machine<'t> {
 impl<'t> Machine<'t> {
     /// Builds a machine ready to replay `trace` under `cfg`.
     ///
-    /// The trace is validated first (see [`Trace::validate_for_cpus`]):
+    /// The trace is validated first (see [`ChunkedTrace::validate_for_cpus`]):
     /// malformed traces — wrong CPU count, unresolvable block ids,
     /// unbalanced lock or block-operation brackets, inconsistent barriers —
     /// are rejected with a typed [`SimError`] before any replay state is
-    /// built.
+    /// built. Replay pulls decoded events through per-CPU one-chunk decode
+    /// windows, so peak decoded memory is O(chunk) per CPU.
     ///
     /// # Panics
     ///
     /// Panics if `cfg` itself is invalid (see [`MachineConfig::validate`]) —
     /// a programmer error, unlike trace problems, which are input errors.
-    pub fn new(cfg: MachineConfig, trace: &'t Trace) -> Result<Self, SimError> {
+    pub fn new(cfg: MachineConfig, trace: &'t ChunkedTrace) -> Result<Self, SimError> {
         Self::with_recording(cfg, trace, true)
     }
 
@@ -385,29 +372,8 @@ impl<'t> Machine<'t> {
     /// kept, only record-only statistics are skipped, so the per-site OS
     /// miss counts and the clocks are exact. Public so differential tests
     /// can drive the profiling replay through either loop explicitly;
-    /// ordinary callers want [`crate::profile_os_misses`].
+    /// ordinary callers want [`crate::profile_os_misses_chunked`].
     pub fn with_recording(
-        cfg: MachineConfig,
-        trace: &'t Trace,
-        record: bool,
-    ) -> Result<Self, SimError> {
-        trace
-            .validate_for_cpus(cfg.n_cpus)
-            .map_err(SimError::from_trace)?;
-        Self::assemble(cfg, Source::Flat(trace), record)
-    }
-
-    /// [`Machine::new`] over a chunked trace: replay pulls decoded events
-    /// through per-CPU one-chunk decode windows instead of a flat event
-    /// vector, so peak decoded memory is O(chunk) per CPU. Identical
-    /// validation, replay semantics, statistics, and final state digest —
-    /// the streaming oracle pins this bitwise against the flat path.
-    pub fn new_chunked(cfg: MachineConfig, trace: &'t ChunkedTrace) -> Result<Self, SimError> {
-        Self::with_recording_chunked(cfg, trace, true)
-    }
-
-    /// [`Machine::with_recording`] over a chunked trace.
-    pub fn with_recording_chunked(
         cfg: MachineConfig,
         trace: &'t ChunkedTrace,
         record: bool,
@@ -415,17 +381,29 @@ impl<'t> Machine<'t> {
         trace
             .validate_for_cpus(cfg.n_cpus)
             .map_err(SimError::from_trace)?;
-        Self::assemble(cfg, Source::Chunked(trace), record)
+        Self::assemble(cfg, trace, record)
     }
 
-    /// [`Machine::with_recording_prevalidated`] over a chunked trace.
+    /// [`Machine::with_recording`] minus the full-trace validation scan.
     ///
-    /// The streaming pipeline builds every machine through this
-    /// constructor: `oscache-core` validates each immutable trace once per
-    /// process (an analysis's working trace on first use, each hot-spot
-    /// rewrite when it is materialized) and memoizes the result, so
-    /// neither the profiling replay (`record = false`) nor the final run
-    /// walks the trace again.
+    /// Validation walks every event, which [`Machine::new`] pays *per
+    /// construction*. A pipeline that replays one trace several times
+    /// (profiling replay, final run, several geometries) should validate
+    /// it once and build each machine here: `oscache-core` validates each
+    /// immutable trace once per process (an analysis's working trace on
+    /// first use, each hot-spot rewrite when it is materialized) and
+    /// memoizes the result, so neither the profiling replay
+    /// (`record = false`) nor the final run walks the trace again.
+    ///
+    /// This constructor demands that the same, unmodified trace has already
+    /// passed [`ChunkedTrace::validate`] (asserted in debug builds, where
+    /// the assertion itself walks the trace), and keeps only the O(1)
+    /// CPU-count check that the replay loops' stream indexing depends on.
+    /// Replaying a trace that was *not* validated stays memory-safe and
+    /// panic-free — the loops re-check dynamically everything they rely on
+    /// (block ids, lock pairing, barrier completion) — but malformed inputs
+    /// then surface as replay-time [`SimError`]s or unspecified statistics
+    /// instead of the precise rejection [`Machine::new`] gives.
     pub fn with_recording_prevalidated_chunked(
         cfg: MachineConfig,
         trace: &'t ChunkedTrace,
@@ -443,52 +421,16 @@ impl<'t> Machine<'t> {
             trace.validate().is_ok(),
             "with_recording_prevalidated_chunked requires a validated trace"
         );
-        Self::assemble(cfg, Source::Chunked(trace), record)
+        Self::assemble(cfg, trace, record)
     }
 
-    /// [`Machine::with_recording`] minus the full-trace validation scan.
-    ///
-    /// `Trace::validate` walks every event — a few milliseconds on real
-    /// traces, which [`Machine::new`] pays *per construction*. A pipeline
-    /// that replays one trace several times (profiling replay, final run,
-    /// several geometries, differential oracle) should validate it once
-    /// and build each machine here. This constructor demands that the
-    /// same, unmodified trace has already passed [`Trace::validate`]
-    /// (asserted in debug builds, where the assertion itself walks the
-    /// trace), and keeps only the O(1) CPU-count check that the replay
-    /// loops' stream indexing depends on.
-    ///
-    /// Replaying a trace that was *not* validated stays memory-safe and
-    /// panic-free — the loops re-check dynamically everything they rely on
-    /// (block ids, lock pairing, barrier completion) — but malformed inputs
-    /// then surface as replay-time [`SimError`]s or unspecified statistics
-    /// instead of the precise rejection [`Machine::new`] gives.
-    pub fn with_recording_prevalidated(
+    fn assemble(
         cfg: MachineConfig,
-        trace: &'t Trace,
+        trace: &'t ChunkedTrace,
         record: bool,
     ) -> Result<Self, SimError> {
-        if trace.n_cpus() != cfg.n_cpus {
-            return Err(SimError::from_trace(
-                oscache_trace::TraceError::CpuCountMismatch {
-                    expected: cfg.n_cpus,
-                    actual: trace.n_cpus(),
-                },
-            ));
-        }
-        debug_assert!(
-            trace.validate().is_ok(),
-            "with_recording_prevalidated requires a validated trace"
-        );
-        Self::assemble(cfg, Source::Flat(trace), record)
-    }
-
-    fn assemble(cfg: MachineConfig, src: Source<'t>, record: bool) -> Result<Self, SimError> {
         cfg.validate();
-        let (meta, stream_len): (&'t TraceMeta, Vec<usize>) = match src {
-            Source::Flat(t) => (&t.meta, t.streams.iter().map(|s| s.len()).collect()),
-            Source::Chunked(t) => (&t.meta, t.streams.iter().map(|s| s.len()).collect()),
-        };
+        let stream_len = trace.streams.iter().map(|s| s.len()).collect();
         let cpus = (0..cfg.n_cpus)
             .map(|_| Cpu {
                 time: 0,
@@ -512,8 +454,7 @@ impl<'t> Machine<'t> {
         let n_cpus = cfg.n_cpus;
         Ok(Machine {
             cfg,
-            src,
-            meta,
+            trace,
             stream_len,
             windows: (0..n_cpus).map(|_| DecodeWindow::default()).collect(),
             cpus,
@@ -653,50 +594,9 @@ impl<'t> Machine<'t> {
     /// The specialized replay loop: monomorphized over `S` and *batched* —
     /// once a CPU is scheduled it keeps stepping, without rescanning, until
     /// an event may have changed another CPU's clock or status, it blocks
-    /// or finishes, or its clock passes the runner-up CPU's.
-    fn run_loop_spec<S: Spec>(&mut self) -> Result<SimStats, SimError> {
-        let Source::Flat(trace) = self.src else {
-            return self.run_loop_spec_chunked::<S>();
-        };
-        // `trace` is a `&'t Trace` copied out of `self.src`; this lets the
-        // batch hold the scheduled CPU's event slice without borrowing
-        // `self`, saving the per-event stream re-dereference `step` pays.
-        'schedule: while let Some((i, limit)) = self.pick_two() {
-            let events = trace.streams[i].events();
-            let n = events.len();
-            loop {
-                self.poll_cancel::<S>(i)?;
-                // Mirrors `step`: count the dispatch, then the end-of-stream
-                // check, then the event itself.
-                self.steps += 1;
-                let cursor = self.cpus[i].cursor;
-                if cursor >= n {
-                    self.cpus[i].status = Status::Done;
-                    continue 'schedule;
-                }
-                let resched = self.dispatch_ev::<S>(i, events[cursor], n)?;
-                if resched || self.cpus[i].status != Status::Runnable {
-                    continue 'schedule;
-                }
-                if let Some((lt, lj)) = limit {
-                    let t = self.cpus[i].time;
-                    // Ties go to the lower index, exactly as in pick_next.
-                    let still_first = if lj < i { t < lt } else { t <= lt };
-                    if !still_first {
-                        continue 'schedule;
-                    }
-                }
-            }
-        }
-        self.finish::<S>()
-    }
-
-    /// The batched loop over a chunked source: identical scheduling and
-    /// dispatch to the flat body above, with the hoisted event slice
-    /// replaced by [`Machine::fetch_event`]'s per-CPU decode window. One
-    /// generic body serves all 16 specialized instantiations and the
-    /// generic witness — the representation is orthogonal to the
-    /// specialization key.
+    /// or finishes, or its clock passes the runner-up CPU's. Events come
+    /// through [`Machine::fetch_event`]'s per-CPU decode window; one
+    /// generic body serves all 16 specialized instantiations.
     ///
     /// When decode-ahead is enabled and the trace is big enough to
     /// matter (some stream has more than one chunk), the loop body runs
@@ -707,15 +607,13 @@ impl<'t> Machine<'t> {
     /// event sequence — statistics, goldens, and `state_digest()` are
     /// identical with the helper on or off (pinned by
     /// `tests/decode_ahead.rs` and the schedule-oracle CI job).
-    fn run_loop_spec_chunked<S: Spec>(&mut self) -> Result<SimStats, SimError> {
-        let Source::Chunked(trace) = self.src else {
-            unreachable!("run_loop_spec_chunked requires a chunked source");
-        };
+    fn run_loop_spec<S: Spec>(&mut self) -> Result<SimStats, SimError> {
+        let trace = self.trace;
         let overlap = self.decode_prefetch
             && self.cfg.n_cpus > 0
             && trace.streams.iter().any(|s| s.n_chunks() > 1);
         if !overlap {
-            return self.chunked_loop_body::<S>();
+            return self.batched_loop_body::<S>();
         }
         let shared = Arc::new(PrefetchShared::new(self.cfg.n_cpus));
         self.prefetch = Some(Arc::clone(&shared));
@@ -724,7 +622,7 @@ impl<'t> Machine<'t> {
                 let shared = Arc::clone(&shared);
                 scope.spawn(move || decode_helper(trace, &shared))
             };
-            let r = self.chunked_loop_body::<S>();
+            let r = self.batched_loop_body::<S>();
             shared.shutdown();
             let _ = helper.join();
             r
@@ -733,10 +631,10 @@ impl<'t> Machine<'t> {
         result
     }
 
-    /// The chunked batched loop proper (shared by the synchronous and the
+    /// The batched loop proper (shared by the synchronous and the
     /// decode-ahead paths — the only difference is whether `fetch_event`
     /// finds a live mailbox in `self.prefetch`).
-    fn chunked_loop_body<S: Spec>(&mut self) -> Result<SimStats, SimError> {
+    fn batched_loop_body<S: Spec>(&mut self) -> Result<SimStats, SimError> {
         'schedule: while let Some((i, limit)) = self.pick_two() {
             let n = self.stream_len[i];
             loop {
@@ -754,6 +652,7 @@ impl<'t> Machine<'t> {
                 }
                 if let Some((lt, lj)) = limit {
                     let t = self.cpus[i].time;
+                    // Ties go to the lower index, exactly as in pick_next.
                     let still_first = if lj < i { t < lt } else { t <= lt };
                     if !still_first {
                         continue 'schedule;
@@ -935,9 +834,8 @@ impl<'t> Machine<'t> {
         self.dispatch_ev::<S>(i, ev, n)
     }
 
-    /// Returns event `idx` of CPU `i`'s stream from whichever source the
-    /// machine replays. Flat: a direct slice index. Chunked: decodes the
-    /// containing chunk into the CPU's window unless already resident —
+    /// Returns event `idx` of CPU `i`'s stream: decodes the containing
+    /// chunk into the CPU's window unless already resident —
     /// cursors advance monotonically chunk by chunk, so the common case is
     /// a window hit, and bounded scans (lock-retry re-fetch, the DMA
     /// bracket skip) stay within one or two chunk decodes. With the
@@ -948,23 +846,19 @@ impl<'t> Machine<'t> {
     /// # Panics
     ///
     /// Panics if `idx` is out of range — callers check against
-    /// `stream_len` first, as the flat slice-indexing path always has.
+    /// `stream_len` first.
     #[inline]
     pub(crate) fn fetch_event(&mut self, i: usize, idx: usize) -> Event {
-        match self.src {
-            Source::Flat(t) => t.streams[i].events()[idx],
-            Source::Chunked(t) => {
-                let s = &t.streams[i];
-                let c = idx / s.capacity();
-                if self.windows[i].chunk != c {
-                    self.swap_in_chunk(s, i, c);
-                }
-                self.windows[i].events[idx - c * s.capacity()]
-            }
+        let trace = self.trace;
+        let s = &trace.streams[i];
+        let c = idx / s.capacity();
+        if self.windows[i].chunk != c {
+            self.swap_in_chunk(s, i, c);
         }
+        self.windows[i].events[idx - c * s.capacity()]
     }
 
-    /// The cold half of the chunked [`Machine::fetch_event`]: makes chunk
+    /// The cold half of [`Machine::fetch_event`]: makes chunk
     /// `c` resident in CPU `i`'s decode window.
     ///
     /// With the decode-ahead mailbox live, first consume the CPU's ready
@@ -1044,7 +938,7 @@ impl<'t> Machine<'t> {
             Event::Exec { block } => {
                 // `Machine::new` validated every block id; re-check so a
                 // trace mutated after validation still cannot panic here.
-                let Some(&bb) = self.meta.code.try_block(block) else {
+                let Some(&bb) = self.trace.meta.code.try_block(block) else {
                     return Err(SimError {
                         cycle: self.cpus[i].time,
                         cpu: Some(i),

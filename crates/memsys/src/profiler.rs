@@ -1,6 +1,6 @@
 //! Bookkeeping-free miss profiler.
 //!
-//! [`profile_os_misses`] replays a trace on a [`Machine`] with statistics
+//! [`profile_os_misses_chunked`] replays a trace on a [`Machine`] with statistics
 //! recording switched off: the replay keeps *every* state- and
 //! time-affecting mechanism — cache/MESI transitions, bus arbitration,
 //! write-buffer drains, MSHRs, victim caches, lock/barrier scheduling — and
@@ -27,13 +27,14 @@ use crate::error::SimError;
 use crate::machine::Machine;
 use crate::stats::SimStats;
 use crate::{AuditLevel, MachineConfig};
-use oscache_trace::{ChunkedTrace, Trace};
+use oscache_trace::ChunkedTrace;
 
 #[allow(unused_imports)] // doc links
 use crate::stats::CpuStats;
 
 /// Replays `trace` without statistics bookkeeping and returns stats whose
-/// `os_miss_by_site` and OS read-miss totals are exact.
+/// `os_miss_by_site` and OS read-miss totals are exact. Events are pulled
+/// through the machine's per-CPU decode windows.
 ///
 /// `cfg.audit` is forced to [`AuditLevel::Off`]: the step/final audits
 /// cross-check recorded bookkeeping that this replay deliberately skips.
@@ -42,17 +43,10 @@ use crate::stats::CpuStats;
 /// Errors are the same typed [`SimError`]s the full machine reports —
 /// validation, deadlock, and replay-semantics failures are unaffected by
 /// the recording switch.
-pub fn profile_os_misses(mut cfg: MachineConfig, trace: &Trace) -> Result<SimStats, SimError> {
-    cfg.audit = AuditLevel::Off;
-    Machine::with_recording(cfg, trace, false)?.run()
-}
-
-/// [`profile_os_misses`] over a chunked trace: the same bookkeeping-free
-/// replay pulling events through the machine's per-CPU decode windows.
 pub fn profile_os_misses_chunked(
     mut cfg: MachineConfig,
     trace: &ChunkedTrace,
 ) -> Result<SimStats, SimError> {
     cfg.audit = AuditLevel::Off;
-    Machine::with_recording_chunked(cfg, trace, false)?.run()
+    Machine::with_recording(cfg, trace, false)?.run()
 }

@@ -6,7 +6,9 @@
 //! these tests pin it against seeded random traces, hostile chunk
 //! capacities (down to one event per chunk), and mid-run cancellation.
 //! Prefetch is flipped per machine via [`Machine::set_decode_prefetch`]
-//! (env vars race across test threads).
+//! (env vars race across test threads). The chunk capacity itself is
+//! pinned invisible too: the same events chunked one per chunk, five per
+//! chunk, or one chunk per stream replay identically.
 
 use oscache_memsys::{CancelToken, Machine, MachineConfig, SimErrorKind, CANCEL_POLL_STRIDE};
 use oscache_trace::rng::{Rng, SmallRng};
@@ -98,8 +100,8 @@ fn assert_prefetch_invisible(
     ct: &ChunkedTrace,
     what: &str,
 ) -> oscache_memsys::OverlapStats {
-    let mut on = Machine::new_chunked(cfg.clone(), ct).unwrap_or_else(|e| panic!("{what}: {e}"));
-    let mut off = Machine::new_chunked(cfg, ct).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let mut on = Machine::new(cfg.clone(), ct).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let mut off = Machine::new(cfg, ct).unwrap_or_else(|e| panic!("{what}: {e}"));
     on.set_decode_prefetch(true);
     off.set_decode_prefetch(false);
     let ron = on.run_mut();
@@ -179,6 +181,77 @@ fn prefetch_is_invisible_across_spec_keys() {
     }
 }
 
+/// One run's observable outcome: the full `Result`, the final
+/// machine-state digest, and the step count.
+type Outcome = (
+    Result<oscache_memsys::SimStats, oscache_memsys::SimError>,
+    u64,
+    u64,
+);
+
+/// Replays `ct` on the specialized dispatcher and on the generic loop.
+fn outcomes(ct: &ChunkedTrace, what: &str) -> [Outcome; 2] {
+    let mut cfg = MachineConfig::base();
+    cfg.n_cpus = ct.n_cpus();
+    let mut s = Machine::new(cfg.clone(), ct).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let mut g = Machine::new(cfg, ct).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let rs = s.run_mut();
+    let rg = g.run_generic_mut();
+    [
+        (rs, s.state_digest(), s.steps()),
+        (rg, g.state_digest(), g.steps()),
+    ]
+}
+
+/// Asserts that `t` replays identically at chunk capacity 1, 5, and one
+/// chunk per stream, on both dispatch tiers.
+fn assert_capacity_invariant(t: &Trace, what: &str) {
+    let longest = t.streams.iter().map(|s| s.len()).max().unwrap_or(0);
+    let reference = outcomes(&rechunk(t, longest.max(1)), what);
+    for capacity in [1, 5] {
+        let ct = rechunk(t, capacity);
+        assert_eq!(ct.total_events(), t.total_events());
+        let got = outcomes(&ct, what);
+        for (tier, (a, b)) in ["specialized", "generic"]
+            .iter()
+            .zip(got.iter().zip(&reference))
+        {
+            assert_eq!(a, b, "{what} capacity {capacity} ({tier}) diverges");
+        }
+    }
+}
+
+/// Seeded random traces replay identically whatever the chunk capacity:
+/// the decode windows are invisible to statistics, final state, and step
+/// count, including with chunk boundaries inside lock regions and block
+/// operations.
+#[test]
+fn random_traces_are_chunk_capacity_invariant() {
+    for seed in SEEDS {
+        let mut rng = SmallRng::seed_from_u64(0x57EA_0000 ^ seed);
+        let t = random_trace(&mut rng);
+        assert_capacity_invariant(&t, &format!("seed {seed}"));
+    }
+}
+
+/// Degenerate shapes: a wholly empty trace and a trace where some CPUs
+/// have no events at all.
+#[test]
+fn empty_and_partially_empty_streams_are_chunk_capacity_invariant() {
+    let empty = Trace::new(4, TraceMeta::default());
+    assert_eq!(ChunkedTrace::from_trace(&empty).total_events(), 0);
+    assert_capacity_invariant(&empty, "empty trace");
+
+    let mut partial = Trace::new(4, TraceMeta::default());
+    let mut b = StreamBuilder::new();
+    b.set_mode(Mode::Os);
+    for i in 0..300u32 {
+        b.read(Addr(0x0100_0000 + (i % 512) * 4), DataClass::KernelOther);
+    }
+    partial.streams[2] = b.finish();
+    assert_capacity_invariant(&partial, "partial trace");
+}
+
 /// A single-CPU stream of `n` data reads after the leading mode event.
 fn long_trace(n: u32) -> Trace {
     let mut b = StreamBuilder::new();
@@ -206,8 +279,8 @@ fn cancellation_fires_at_identical_steps_with_prefetch() {
             cfg.cancel = CancelToken::countdown(polls);
             cfg
         };
-        let mut on = Machine::new_chunked(mk(polls), &ct).unwrap();
-        let mut off = Machine::new_chunked(mk(polls), &ct).unwrap();
+        let mut on = Machine::new(mk(polls), &ct).unwrap();
+        let mut off = Machine::new(mk(polls), &ct).unwrap();
         on.set_decode_prefetch(true);
         off.set_decode_prefetch(false);
         let ron = on.run_mut();
@@ -240,7 +313,7 @@ fn overlap_counters_account_for_every_chunk() {
     assert!(n_chunks > 1, "test needs a multi-chunk stream");
     let mut cfg = MachineConfig::base();
     cfg.n_cpus = 1;
-    let mut m = Machine::new_chunked(cfg, &ct).unwrap();
+    let mut m = Machine::new(cfg, &ct).unwrap();
     m.set_decode_prefetch(true);
     m.run_mut().expect("replay completes");
     let o = m.overlap_stats();

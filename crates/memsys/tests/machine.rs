@@ -4,8 +4,8 @@
 
 use oscache_memsys::{BlockOpScheme, Machine, MachineConfig, SimStats};
 use oscache_trace::{
-    Addr, BarrierId, BlockId, CoherenceCategory, DataClass, LockId, Mode, StreamBuilder, Trace,
-    TraceMeta,
+    Addr, BarrierId, BlockId, ChunkedTrace, CoherenceCategory, DataClass, LockId, Mode,
+    StreamBuilder, Trace, TraceMeta,
 };
 
 /// Builds a 4-CPU trace with one basic block available and hands each CPU's
@@ -37,7 +37,10 @@ fn run(trace: &Trace) -> SimStats {
 
 fn run_cfg(cfg: MachineConfig, trace: &Trace) -> SimStats {
     let cfg = cfg.with_audit(oscache_memsys::AuditLevel::Strict);
-    Machine::new(cfg, trace).unwrap().run().unwrap()
+    Machine::new(cfg, &ChunkedTrace::from_trace(trace))
+        .unwrap()
+        .run()
+        .unwrap()
 }
 
 const D: Addr = Addr(0x0200_0000);

@@ -10,14 +10,14 @@
 
 use oscache_memsys::{CancelToken, Machine, MachineConfig, SimErrorKind, CANCEL_POLL_STRIDE};
 use oscache_trace::rng::{Rng, SmallRng};
-use oscache_trace::{Addr, DataClass, LockId, Mode, StreamBuilder, Trace, TraceMeta};
+use oscache_trace::{Addr, ChunkedTrace, DataClass, LockId, Mode, StreamBuilder, Trace, TraceMeta};
 
 const SEEDS: std::ops::Range<u64> = 0..8;
 
 /// A random valid multi-CPU trace exercising sharing, locks, block
 /// operations, mode switches, and idle gaps — the full vocabulary the
 /// specialized loops must replay identically.
-fn random_trace(rng: &mut SmallRng) -> Trace {
+fn random_trace(rng: &mut SmallRng) -> ChunkedTrace {
     let n_cpus = 4;
     let mut meta = TraceMeta::default();
     let site = meta.code.add_site("sm", true);
@@ -75,7 +75,7 @@ fn random_trace(rng: &mut SmallRng) -> Trace {
         }
         t.streams[cpu] = b.finish();
     }
-    t
+    ChunkedTrace::from_trace(&t)
 }
 
 /// A configuration whose [`SpecKey`] has exactly the requested features.
@@ -105,7 +105,7 @@ fn cfg_for(updates: bool, victim: bool, cancel: bool) -> MachineConfig {
 /// dispatcher and the generic oracle and asserts end-to-end equality:
 /// the full `Result` (statistics or typed error), the final machine-state
 /// digest, and the step count.
-fn assert_spec_matches_generic(cfg: MachineConfig, trace: &Trace, record: bool, what: &str) {
+fn assert_spec_matches_generic(cfg: MachineConfig, trace: &ChunkedTrace, record: bool, what: &str) {
     let mut s = Machine::with_recording(cfg.clone(), trace, record)
         .unwrap_or_else(|e| panic!("{what}: {e}"));
     let mut g =
@@ -151,7 +151,7 @@ fn every_spec_key_variant_matches_generic() {
 
 /// A single-CPU trace of `n` data reads (plus the leading mode event):
 /// enough events to cross several cancellation-poll strides.
-fn long_trace(n: u32) -> Trace {
+fn long_trace(n: u32) -> ChunkedTrace {
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     for i in 0..n {
@@ -159,7 +159,7 @@ fn long_trace(n: u32) -> Trace {
     }
     let mut t = Trace::new(1, TraceMeta::default());
     t.streams[0] = b.finish();
-    t
+    ChunkedTrace::from_trace(&t)
 }
 
 /// The poll stride is a power of two (the poll site masks with

@@ -19,8 +19,8 @@
 //!   chunk boundary (the first address in a chunk is a delta from 0), so
 //!   a chunk decodes without touching its predecessors.
 //! * **Lossless**: encoding is a bijection on well-formed events; the
-//!   round-trip tests and the cross-crate streaming oracle pin
-//!   `decode(encode(e)) == e` for every event, which is the ground the
+//!   round-trip tests and the cross-crate oracles (pipeline, decode-ahead)
+//!   pin `decode(encode(e)) == e` for every event, which is the ground the
 //!   bitwise simulation-equivalence guarantee stands on.
 
 use crate::spill::{FrameRef, MemBudget, SpillStore, SpillTarget};

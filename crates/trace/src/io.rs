@@ -36,6 +36,11 @@ use std::io::{self, BufRead, Write};
 /// is bounded first; the simulated machines use at most 8.
 pub const MAX_DUMP_CPUS: usize = 256;
 
+/// The most `site` lines a trace dump may declare: site ids are `u16`, and
+/// each accepted name is leaked for the life of the process, so the count
+/// is bounded before a name is kept.
+const MAX_DUMP_SITES: usize = u16::MAX as usize + 1;
+
 /// Errors produced while reading a serialized trace.
 #[derive(Debug)]
 pub enum ReadTraceError {
@@ -308,7 +313,7 @@ impl Parser {
 ///
 /// Returns [`ReadTraceError::Parse`] when the input deviates from the
 /// format (wrong magic, unknown event letter, missing fields, a `cpus`
-/// count above [`MAX_DUMP_CPUS`]),
+/// count above [`MAX_DUMP_CPUS`], more than 65,536 `site` lines),
 /// [`ReadTraceError::Truncated`] when the input ends before the trailing
 /// `end` marker, and [`ReadTraceError::Io`] on reader failures.
 pub fn read_trace<R: BufRead>(r: R) -> Result<Trace, ReadTraceError> {
@@ -383,6 +388,9 @@ pub fn read_trace_chunked<R: BufRead>(r: R) -> Result<ChunkedTrace, ReadTraceErr
                 seen_streams = vec![false; n_cpus];
             }
             "site" => {
+                if site_names.len() >= MAX_DUMP_SITES {
+                    return p.err(format!("more than {MAX_DUMP_SITES} `site` declarations"));
+                }
                 let name = arg(&p)?.to_string();
                 let kind = arg(&p)?;
                 if kind != "loop" && kind != "seq" {
@@ -692,6 +700,28 @@ mod tests {
             read_trace_chunked(at_cap.as_bytes()),
             Err(ReadTraceError::Parse { .. })
         ));
+    }
+
+    #[test]
+    fn rejects_site_count_above_the_cap_before_leaking() {
+        let header = "oscache-trace 1\nworkload x\ncpus 1\n";
+        let sites = |n: usize| {
+            let mut s = String::from(header);
+            for i in 0..n {
+                s.push_str(&format!("site s{i} seq\n"));
+            }
+            s.push_str("end\n");
+            s
+        };
+        match read_trace_chunked(sites(MAX_DUMP_SITES + 1).as_bytes()) {
+            Err(ReadTraceError::Parse { line, msg }) => {
+                assert_eq!(line, 3 + MAX_DUMP_SITES + 1, "{msg}");
+                assert!(msg.contains("more than 65536 `site`"), "{msg}");
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+        let at_cap = read_trace_chunked(sites(MAX_DUMP_SITES).as_bytes()).unwrap();
+        assert_eq!(at_cap.meta.code.site_count(), MAX_DUMP_SITES);
     }
 
     #[test]

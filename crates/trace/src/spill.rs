@@ -48,7 +48,7 @@ use std::sync::{Arc, Mutex};
 /// Setting `REPRO_NO_SPILL` to any non-empty value other than `0` keeps
 /// every chunk in memory — today's pure in-memory path, verbatim — which
 /// is the oracle the spill differential tests diff against. Mirrors
-/// `REPRO_NO_STREAMING` / `REPRO_NO_SPECIALIZE`.
+/// `REPRO_NO_SPECIALIZE`.
 pub fn spill_enabled() -> bool {
     match std::env::var_os("REPRO_NO_SPILL") {
         Some(v) => v.is_empty() || v == "0",

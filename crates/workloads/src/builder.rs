@@ -252,20 +252,14 @@ pub fn build(workload: Workload, opts: BuildOptions) -> Trace {
     Builder::new(workload, rates(workload), opts, false).run()
 }
 
-/// Builds a trace behind an [`std::sync::Arc`] so it can be shared
-/// immutably across threads (the cache-friendly entry point used by
-/// `oscache-core`'s trace cache).
-pub fn build_shared(workload: Workload, opts: BuildOptions) -> std::sync::Arc<Trace> {
-    std::sync::Arc::new(build(workload, opts))
-}
-
 /// Builds the same trace [`build`] would, but encoded straight into the
 /// chunked representation: each per-CPU stream is sealed into fixed-size
 /// delta-encoded chunks as the generator emits events, so the peak decoded
 /// footprint during generation is one chunk per CPU instead of the whole
 /// event vector. Deterministic per [`TraceBuildKey`], exactly like the
 /// materialized build — decoding the result yields `build(workload, opts)`
-/// event for event (the streaming oracle pins this).
+/// event for event (pinned by the `chunked_build_decodes_to_flat_build`
+/// test).
 pub fn build_chunked(workload: Workload, opts: BuildOptions) -> ChunkedTrace {
     Builder::new(workload, rates(workload), opts, true).run_chunked()
 }
@@ -953,7 +947,7 @@ mod tests {
 
     #[test]
     fn chunked_build_decodes_to_flat_build() {
-        for w in [Workload::Trfd4, Workload::Shell] {
+        for w in Workload::all() {
             let opts = BuildOptions {
                 scale: 0.05,
                 seed: 1,
