@@ -4,7 +4,7 @@
 
 use oscache_core::{Geometry, System, TraceCache};
 use oscache_memsys::{Machine, MachineConfig};
-use oscache_workloads::{build_chunked, BuildOptions, Workload};
+use oscache_workloads::{build, BuildOptions, Workload};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -81,7 +81,7 @@ fn bench_schemes() {
 fn bench_trace_generation() {
     for w in Workload::all() {
         bench("generate", w.name(), 0, || {
-            let t = build_chunked(
+            let t = build(
                 w,
                 BuildOptions {
                     scale: SCALE,

@@ -79,6 +79,15 @@ const SMOKE_SCALE_SPILL: f64 = 10.0;
 /// cell under `ulimit -v` at 256 MB, where the ungoverned engine dies.
 const SMOKE_SPILL_BUDGET_MB: u64 = 64;
 
+/// Exits through [`usage`] when arguments remain after a subcommand's
+/// positionals: a flag placed after them (`dump TRFD_4 p --scale 2`)
+/// would otherwise be silently ignored.
+fn reject_trailing(mut args: impl Iterator<Item = String>) {
+    if args.next().is_some() {
+        usage();
+    }
+}
+
 /// Reports a structured error on stderr and exits with `code`.
 fn fail(class: &str, msg: &str, code: i32) -> ! {
     eprintln!("error: class={class} msg={msg:?}");
@@ -277,19 +286,19 @@ fn report_spill(r: &Repro, sup: &Supervision) {
 /// escape load and show the measured metrics barely move.
 fn perturb(workload: &str, scale: f64) {
     use oscache_core::transform::TransformPipeline;
-    use oscache_workloads::{build_chunked, BuildOptions, Workload};
+    use oscache_workloads::{build, BuildOptions, Workload};
     let w = Workload::all()
         .into_iter()
         .find(|w| w.name().eq_ignore_ascii_case(workload))
         .unwrap_or_else(|| usage());
-    let trace = build_chunked(
+    let trace = build(
         w,
         BuildOptions {
             scale,
             ..Default::default()
         },
     );
-    let inst = TransformPipeline::new().escapes().run_chunked(&trace);
+    let inst = TransformPipeline::new().escapes().run(&trace);
     let growth = inst.total_events() as f64 / trace.total_events() as f64 - 1.0;
     let base = oscache_core::run_system(&trace, System::Base);
     let with = oscache_core::run_system(&inst, System::Base);
@@ -416,19 +425,19 @@ fn csv(dir: &str, scale: f64, jobs: usize) {
 }
 
 fn classes(workload: &str, scale: f64) {
-    use oscache_workloads::{build_chunked, BuildOptions, Workload};
+    use oscache_workloads::{build, BuildOptions, Workload};
     let w = Workload::all()
         .into_iter()
         .find(|w| w.name().eq_ignore_ascii_case(workload))
         .unwrap_or_else(|| usage());
-    let trace = build_chunked(
+    let trace = build(
         w,
         BuildOptions {
             scale,
             ..Default::default()
         },
     );
-    let p = oscache_core::analysis::class_profile_chunked(&trace);
+    let p = oscache_core::analysis::class_profile(&trace);
     let base = oscache_core::run_system(&trace, System::Base);
     let misses = base.stats.total().os_miss_by_class;
     let mut rows: Vec<_> = p.into_iter().collect();
@@ -457,12 +466,12 @@ fn classes(workload: &str, scale: f64) {
 
 fn conflicts(workload: &str, scale: f64) {
     use oscache_core::analysis::{conflict_matrix, conflicts_are_diffuse};
-    use oscache_workloads::{build_chunked, BuildOptions, Workload};
+    use oscache_workloads::{build, BuildOptions, Workload};
     let w = Workload::all()
         .into_iter()
         .find(|w| w.name().eq_ignore_ascii_case(workload))
         .unwrap_or_else(|| usage());
-    let trace = build_chunked(
+    let trace = build(
         w,
         BuildOptions {
             scale,
@@ -535,12 +544,19 @@ fn simulate(workload: &str, system: &str, scale: f64, sup_opts: &Supervision) {
     println!("peak_rss_mb {:.1}", peak_rss_mb().unwrap_or(-1.0));
 }
 
+/// `repro dump <workload> <path>`: builds a trace and writes it in the
+/// text dump format. The file is created before the trace is built, so an
+/// unwritable path fails at once; open and write errors exit 1 (`io`).
 fn dump(workload: &str, path: &str, scale: f64) {
     use oscache_workloads::{build, BuildOptions, Workload};
     let w = Workload::all()
         .into_iter()
         .find(|w| w.name().eq_ignore_ascii_case(workload))
         .unwrap_or_else(|| usage());
+    let f = match std::fs::File::create(path) {
+        Ok(f) => f,
+        Err(e) => fail("io", &format!("{path}: {e}"), EXIT_IO),
+    };
     let trace = build(
         w,
         BuildOptions {
@@ -548,8 +564,10 @@ fn dump(workload: &str, path: &str, scale: f64) {
             ..Default::default()
         },
     );
-    let f = std::fs::File::create(path).expect("create dump file");
-    oscache_trace::write_trace(&trace, std::io::BufWriter::new(f)).expect("write dump");
+    let mut out = std::io::BufWriter::new(f);
+    if let Err(e) = oscache_trace::write_trace(&trace, &mut out).and_then(|()| out.flush()) {
+        fail("io", &format!("{path}: {e}"), EXIT_IO);
+    }
     println!("wrote {} ({} events)", path, trace.total_events());
 }
 
@@ -564,18 +582,17 @@ fn replay(path: &str, system: &str, inject: Option<(oscache_memsys::faults::Faul
         Ok(f) => f,
         Err(e) => fail("io", &format!("{path}: {e}"), EXIT_IO),
     };
-    let mut trace = match oscache_trace::read_trace_chunked(std::io::BufReader::new(f)) {
+    let mut trace = match oscache_trace::read_trace(std::io::BufReader::new(f)) {
         Ok(t) => t,
         Err(e @ ReadTraceError::Io(_)) => fail("io", &e.to_string(), EXIT_IO),
         Err(e) => fail("trace-validation", &e.to_string(), EXIT_TRACE_INVALID),
     };
     if let Some((kind, seed)) = inject {
         println!("injecting fault {} (seed {seed})", kind.label());
-        let faulty = oscache_memsys::faults::inject(&trace.to_trace(), kind, seed);
-        if let Err(e) = faulty.validate() {
+        trace = oscache_memsys::faults::inject(trace, kind, seed);
+        if let Err(e) = trace.validate() {
             fail("trace-validation", &e.to_string(), EXIT_TRACE_INVALID);
         }
-        trace = oscache_trace::ChunkedTrace::from_trace(&faulty);
     }
     // Replay with the full invariant audit enabled, so a fault that slips
     // past validation is either survived cleanly or reported as a typed
@@ -742,12 +759,14 @@ fn main() {
             }
             "golden" => {
                 let dir = args.next().unwrap_or_else(|| usage());
+                reject_trailing(&mut args);
                 golden(&dir, scale, jobs, &sup_opts);
                 return;
             }
             "dump" => {
                 let w = args.next().unwrap_or_else(|| usage());
                 let path = args.next().unwrap_or_else(|| usage());
+                reject_trailing(&mut args);
                 dump(&w, &path, scale);
                 return;
             }
@@ -813,16 +832,19 @@ fn main() {
             }
             "conflicts" => {
                 let w = args.next().unwrap_or_else(|| usage());
+                reject_trailing(&mut args);
                 conflicts(&w, scale);
                 return;
             }
             "classes" => {
                 let w = args.next().unwrap_or_else(|| usage());
+                reject_trailing(&mut args);
                 classes(&w, scale);
                 return;
             }
             "csv" => {
                 let dir = args.next().unwrap_or_else(|| usage());
+                reject_trailing(&mut args);
                 csv(&dir, scale, jobs);
                 return;
             }
@@ -839,6 +861,7 @@ fn main() {
             }
             "perturb" => {
                 let w = args.next().unwrap_or_else(|| usage());
+                reject_trailing(&mut args);
                 perturb(&w, scale);
                 return;
             }
@@ -1065,20 +1088,25 @@ fn print_timings(r: &Repro, warm: &WarmStats) {
 /// as wall time in the matrix.
 fn codec_microcell() -> (f64, f64, f64, f64) {
     use oscache_trace::rng::{Rng, SmallRng};
-    use oscache_trace::{Addr, ChunkedStream, DataClass, StreamBuilder, CHUNK_EVENTS};
+    use oscache_trace::{Addr, ChunkedStream, DataClass, Event, CHUNK_EVENTS};
     const EVENTS: usize = 1 << 19;
     let mut rng = SmallRng::seed_from_u64(0x5eed_c0de);
-    let mut b = StreamBuilder::new();
-    for _ in 0..EVENTS {
-        let addr = Addr(0x0200_0000 + rng.gen_range(0u32..0x8000) * 8);
-        if rng.gen_bool(0.3) {
-            b.write(addr, DataClass::ProcTable);
-        } else {
-            b.read(addr, DataClass::RunQueue);
-        }
-    }
-    let events = b.finish().into_events();
-    assert_eq!(events.len(), EVENTS);
+    let events: Vec<Event> = (0..EVENTS)
+        .map(|_| {
+            let addr = Addr(0x0200_0000 + rng.gen_range(0u32..0x8000) * 8);
+            if rng.gen_bool(0.3) {
+                Event::Write {
+                    addr,
+                    class: DataClass::ProcTable,
+                }
+            } else {
+                Event::Read {
+                    addr,
+                    class: DataClass::RunQueue,
+                }
+            }
+        })
+        .collect();
     let mb = std::mem::size_of_val(events.as_slice()) as f64 / (1024.0 * 1024.0);
     let t0 = std::time::Instant::now();
     let stream = ChunkedStream::from_events(events, CHUNK_EVENTS);

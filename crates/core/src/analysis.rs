@@ -90,7 +90,7 @@ pub struct SharingProfile {
 /// read+write of one word counts as a single update) needs only a
 /// one-event lookahead, which the peekable iterator supplies across chunk
 /// boundaries.
-pub fn profile_sharing_chunked(trace: &ChunkedTrace) -> SharingProfile {
+pub fn profile_sharing(trace: &ChunkedTrace) -> SharingProfile {
     let meta = &trace.meta;
     // Static-variable ranges, sorted for binary search.
     let mut ranges: Vec<(u32, u32)> = meta.vars.iter().map(|v| (v.addr.0, v.size)).collect();
@@ -315,7 +315,7 @@ pub struct ClassProfile {
 /// Counts reads/writes per [`DataClass`] across the whole trace
 /// (block-operation payload references included), streaming each chunk
 /// through one decode window.
-pub fn class_profile_chunked(trace: &ChunkedTrace) -> HashMap<DataClass, ClassProfile> {
+pub fn class_profile(trace: &ChunkedTrace) -> HashMap<DataClass, ClassProfile> {
     let mut map: HashMap<DataClass, ClassProfile> = HashMap::new();
     for stream in &trace.streams {
         for e in stream {
@@ -390,10 +390,10 @@ pub fn conflicts_are_diffuse(matrix: &[ConflictPair], threshold: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oscache_workloads::{build_chunked, BuildOptions, Workload};
+    use oscache_workloads::{build, BuildOptions, Workload};
 
     fn profile_of(w: Workload) -> (SharingProfile, ChunkedTrace) {
-        let t = build_chunked(
+        let t = build(
             w,
             BuildOptions {
                 scale: 0.1,
@@ -401,7 +401,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        (profile_sharing_chunked(&t), t)
+        (profile_sharing(&t), t)
     }
 
     #[test]
@@ -481,7 +481,7 @@ mod tests {
 
     #[test]
     fn class_profile_counts_references() {
-        let t = build_chunked(
+        let t = build(
             Workload::Shell,
             BuildOptions {
                 scale: 0.05,
@@ -489,7 +489,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let p = class_profile_chunked(&t);
+        let p = class_profile(&t);
         // Every structure the paper names appears.
         for c in [
             DataClass::InfreqCounter,
@@ -506,14 +506,19 @@ mod tests {
         // Totals reconcile with the trace's own counters (locks/barriers
         // add their synthetic accesses on top of scalar reads/writes).
         let reads: u64 = p.values().map(|e| e.reads).sum();
-        assert!(reads >= t.to_trace().total_reads() as u64);
+        let scalar_reads = t
+            .streams
+            .iter()
+            .flat_map(|s| s.iter())
+            .filter(|e| e.is_read());
+        assert!(reads >= scalar_reads.count() as u64);
     }
 
     #[test]
     fn conflict_matrix_reports_diffuse_conflicts() {
         // The paper's §6 result on the real kernel: conflicts are random,
         // not concentrated between one structure pair.
-        let t = build_chunked(
+        let t = build(
             Workload::TrfdMake,
             BuildOptions {
                 scale: 0.1,

@@ -131,7 +131,7 @@ pub fn analyze_chunked(trace: &ChunkedTrace) -> DeferredCounts {
 /// are remapped to the source (the VMP-style remap); a short bookkeeping
 /// overhead replaces each removed operation. The rewrite decodes one
 /// chunk at a time and re-encodes into fresh chunks.
-pub fn apply_deferred_copy_chunked(trace: &ChunkedTrace) -> ChunkedTrace {
+pub fn apply_deferred_copy(trace: &ChunkedTrace) -> ChunkedTrace {
     let (_, ro_ops) = analyze_ops(trace);
     let mut out = ChunkedTrace::new(trace.n_cpus(), trace.meta.clone());
     for (cpu, stream) in trace.streams.iter().enumerate() {
@@ -192,7 +192,7 @@ pub fn apply_deferred_copy_chunked(trace: &ChunkedTrace) -> ChunkedTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oscache_trace::{DataClass, Mode, StreamBuilder, Trace, TraceMeta};
+    use oscache_trace::{DataClass, Mode, StreamBuilder, TraceMeta};
 
     fn copy(b: &mut StreamBuilder, src: u32, dst: u32, len: u32) {
         b.begin_block_copy(
@@ -213,7 +213,7 @@ mod tests {
 
     #[test]
     fn counts_small_and_readonly_copies() {
-        let mut t = Trace::new(1, TraceMeta::default());
+        let mut t = ChunkedTrace::new(1, TraceMeta::default());
         let mut b = StreamBuilder::new();
         b.set_mode(Mode::Os);
         copy(&mut b, 0x1000_0000, 0x2000_0000, 512); // read-only small
@@ -221,7 +221,7 @@ mod tests {
         b.write(Addr(0x2100_0010), DataClass::UserData);
         copy(&mut b, 0x1200_0000, 0x2200_0000, PAGE_SIZE); // page-sized
         t.streams[0] = b.finish();
-        let c = analyze_chunked(&ChunkedTrace::from_trace(&t));
+        let c = analyze_chunked(&t);
         assert_eq!(c.block_copies, 3);
         assert_eq!(c.small_copies, 2);
         assert_eq!(c.readonly_small_copies, 1);
@@ -231,14 +231,14 @@ mod tests {
 
     #[test]
     fn apply_removes_readonly_copies_and_remaps_reads() {
-        let mut t = Trace::new(1, TraceMeta::default());
+        let mut t = ChunkedTrace::new(1, TraceMeta::default());
         let mut b = StreamBuilder::new();
         b.set_mode(Mode::Os);
         copy(&mut b, 0x1000_0000, 0x2000_0000, 128);
         b.read(Addr(0x2000_0008), DataClass::UserData); // read of dst
         t.streams[0] = b.finish();
-        let out = apply_deferred_copy_chunked(&ChunkedTrace::from_trace(&t)).to_trace();
-        let evs = out.streams[0].events();
+        let out = apply_deferred_copy(&t);
+        let evs: Vec<Event> = out.streams[0].iter().collect();
         assert!(
             !evs.iter().any(|e| matches!(e, Event::BlockOpBegin { .. })),
             "copy should be removed"
@@ -252,14 +252,14 @@ mod tests {
 
     #[test]
     fn cross_cpu_write_disqualifies() {
-        let mut t = Trace::new(2, TraceMeta::default());
+        let mut t = ChunkedTrace::new(2, TraceMeta::default());
         let mut b = StreamBuilder::new();
         copy(&mut b, 0x1000_0000, 0x2000_0000, 128);
         t.streams[0] = b.finish();
         let mut b1 = StreamBuilder::new();
         b1.write(Addr(0x1000_0020), DataClass::UserData); // writes the src
         t.streams[1] = b1.finish();
-        let c = analyze_chunked(&ChunkedTrace::from_trace(&t));
+        let c = analyze_chunked(&t);
         assert_eq!(c.small_copies, 1);
         assert_eq!(c.readonly_small_copies, 0);
     }

@@ -16,7 +16,7 @@
 //!   returns results ordered by cell index, never by completion order.
 //!
 //! Determinism argument (DESIGN.md §10): every [`RunResult`] is produced
-//! by `sim::run_prepared_chunked`, a deterministic single-threaded
+//! by `sim::run_prepared`, a deterministic single-threaded
 //! `Machine` run over an immutable trace; workers share nothing mutable
 //! but the cache, whose entries are write-once values of pure functions
 //! of their keys. Therefore the outcome of a cell cannot depend on the
@@ -30,21 +30,14 @@
 
 use crate::config::{Geometry, System, SystemSpec, UpdatePolicy};
 use crate::experiments::{figure6_sweep, figure7_sweep};
-use crate::sim::{
-    self, AnalysisPrefix, AnalyzedCellChunked, PrepPhases, PreparedCellChunked, RunResult,
-};
+use crate::sim::{self, AnalysisPrefix, AnalyzedCell, PrepPhases, PreparedCell, RunResult};
 use crate::supervise::{
     fnv1a, lock_tolerant, CellFailure, FailureCause, Journal, JournalRecord, OnceSlot, Overrun,
     RunPolicy, RunnerError, Watchdog,
 };
 use oscache_memsys::{AuditLevel, CancelToken, SimError};
-use oscache_trace::{
-    spill_enabled, ChunkedTrace, IoFaultPlan, MemBudget, SpillStore, StoreIdentity,
-};
-use oscache_workloads::{
-    build_chunked, build_chunked_shared, build_chunked_spilled, BuildOptions, TraceBuildKey,
-    Workload,
-};
+use oscache_trace::{ChunkedTrace, IoFaultPlan, MemBudget, SpillStore, StoreIdentity};
+use oscache_workloads::{build, build_spilled, BuildOptions, TraceBuildKey, Workload};
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -297,15 +290,14 @@ pub struct BuildTiming {
 pub struct TraceCache {
     base: Mutex<HashMap<TraceBuildKey, Arc<OnceSlot<Arc<ChunkedTrace>>>>>,
     analyzed: Mutex<AnalysisMap>,
-    prepared: Mutex<HashMap<CellFingerprint, Weak<PreparedCellChunked>>>,
+    prepared: Mutex<HashMap<CellFingerprint, Weak<PreparedCell>>>,
     results: Mutex<HashMap<CellFingerprint, RunResult>>,
     builds: Mutex<Vec<BuildTiming>>,
     spill: Mutex<Option<Arc<SpillConfig>>>,
 }
 
 /// Write-once analysis slots keyed by base trace and spec prefix.
-type AnalysisMap =
-    HashMap<(TraceBuildKey, AnalysisPrefix), Arc<OnceSlot<Arc<AnalyzedCellChunked>>>>;
+type AnalysisMap = HashMap<(TraceBuildKey, AnalysisPrefix), Arc<OnceSlot<Arc<AnalyzedCell>>>>;
 
 impl TraceCache {
     /// An empty cache.
@@ -325,12 +317,8 @@ impl TraceCache {
         }));
     }
 
-    /// The active spill configuration — `None` when no budget was armed
-    /// or `REPRO_NO_SPILL` pins the in-memory path as oracle.
+    /// The active spill configuration — `None` when no budget was armed.
     pub fn spill_config(&self) -> Option<Arc<SpillConfig>> {
-        if !spill_enabled() {
-            return None;
-        }
         lock_tolerant(&self.spill).clone()
     }
 
@@ -370,7 +358,7 @@ impl TraceCache {
             let t0 = Instant::now();
             let trace = match self.spill_config() {
                 Some(cfg) => build_base_governed(workload, opts, key, &cfg),
-                None => build_chunked_shared(workload, opts),
+                None => Arc::new(build(workload, opts)),
             };
             lock_tolerant(&self.builds).push(BuildTiming {
                 key,
@@ -387,12 +375,12 @@ impl TraceCache {
     /// a whole-fingerprint hit). `cancel` reaches the profiling replay; a
     /// cancelled preparation caches nothing — the next requester simply
     /// redoes the work.
-    pub fn prepared_chunked_cancellable(
+    pub fn prepared_cancellable(
         &self,
         base: &ChunkedTrace,
         fp: CellFingerprint,
         cancel: &CancelToken,
-    ) -> Result<(Arc<PreparedCellChunked>, PrepPhases), SimError> {
+    ) -> Result<(Arc<PreparedCell>, PrepPhases), SimError> {
         if let Some(p) = lock_tolerant(&self.prepared)
             .get(&fp)
             .and_then(Weak::upgrade)
@@ -405,8 +393,8 @@ impl TraceCache {
                 },
             ));
         }
-        let analyzed = self.analyzed_chunked_for(base, fp);
-        let (built, mut phases) = sim::prepare_from_analysis_chunked_cancellable(
+        let analyzed = self.analyzed_for(base, fp);
+        let (built, mut phases) = sim::prepare_from_analysis_cancellable(
             base,
             &analyzed.0,
             fp.spec,
@@ -430,11 +418,7 @@ impl TraceCache {
     /// The shared geometry-independent analysis for `fp`'s base trace and
     /// spec prefix, plus the milliseconds this call spent computing it
     /// (zero on a hit; concurrent requests block on the single analyzer).
-    fn analyzed_chunked_for(
-        &self,
-        base: &ChunkedTrace,
-        fp: CellFingerprint,
-    ) -> (Arc<AnalyzedCellChunked>, f64) {
+    fn analyzed_for(&self, base: &ChunkedTrace, fp: CellFingerprint) -> (Arc<AnalyzedCell>, f64) {
         let key = (fp.base, AnalysisPrefix::of(fp.spec));
         let slot = {
             let mut map = lock_tolerant(&self.analyzed);
@@ -475,7 +459,7 @@ impl TraceCache {
 
     /// Validator walks the pipeline has run over this cache's traces: one per analysis working trace (the base trace for the
     /// all-false prefix) plus one per materialized hot-spot rewrite
-    /// ([`AnalyzedCellChunked::validation_walks`], DESIGN.md §12.2).
+    /// ([`AnalyzedCell::validation_walks`], DESIGN.md §12.2).
     pub fn validation_walks(&self) -> u64 {
         let slots: Vec<_> = lock_tolerant(&self.analyzed).values().cloned().collect();
         slots
@@ -522,17 +506,17 @@ fn build_base_governed(
                 "warning: class=spill msg={:?}",
                 format!("spill store unavailable, staying in memory: {e}")
             );
-            let trace = build_chunked_shared(workload, opts);
+            let trace = Arc::new(build(workload, opts));
             cfg.budget.charge_inline(trace.byte_len());
             return trace;
         }
     };
     let rebuilt: OnceLock<ChunkedTrace> = OnceLock::new();
     store.set_rebuilder(Box::new(move |cpu, chunk| {
-        let t = rebuilt.get_or_init(|| build_chunked(workload, opts));
+        let t = rebuilt.get_or_init(|| build(workload, opts));
         t.streams.get(cpu)?.chunk_bytes(chunk)
     }));
-    Arc::new(build_chunked_spilled(workload, opts, &store, &cfg.budget))
+    Arc::new(build_spilled(workload, opts, &store, &cfg.budget))
 }
 
 /// Pushes a freshly-computed analysis rewrite under the budget: resident
@@ -541,7 +525,7 @@ fn build_base_governed(
 /// every analysis pass are deterministic, so the re-derived bytes match
 /// the recorded CRC exactly). Called only on the path that just built
 /// `a`, where its trace `Arc` is fresh — `get_mut` cannot fail there.
-fn spill_analysis(a: &mut AnalyzedCellChunked, fp: CellFingerprint, cfg: &SpillConfig) {
+fn spill_analysis(a: &mut AnalyzedCell, fp: CellFingerprint, cfg: &SpillConfig) {
     let Some(trace) = a.trace.as_mut() else {
         return;
     };
@@ -565,7 +549,7 @@ fn spill_analysis(a: &mut AnalyzedCellChunked, fp: CellFingerprint, cfg: &SpillC
     let rebuilt: OnceLock<Option<Arc<ChunkedTrace>>> = OnceLock::new();
     store.set_rebuilder(Box::new(move |cpu, chunk| {
         let t = rebuilt.get_or_init(|| {
-            let base = build_chunked(key.workload, key.options());
+            let base = build(key.workload, key.options());
             sim::analyze_cell_chunked(&base, spec).trace
         });
         t.as_ref()?.streams.get(cpu)?.chunk_bytes(chunk)
@@ -717,10 +701,10 @@ fn run_cell_inner(
             });
         }
     }
-    let (prepared, phases) = cache.prepared_chunked_cancellable(&base, fp, cancel)?;
+    let (prepared, phases) = cache.prepared_cancellable(&base, fp, cancel)?;
     check_budget(cache)?;
     let prep = Instant::now();
-    let (result, overlap) = sim::run_prepared_chunked_timed(
+    let (result, overlap) = sim::run_prepared_timed(
         &base,
         &prepared,
         cell.spec,

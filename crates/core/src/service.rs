@@ -1079,12 +1079,13 @@ enum ReadLine {
     Line(String),
     /// The pending line grew past [`MAX_REQUEST_LINE`] without a newline.
     TooLarge,
-    /// EOF, or `stop` was set while the connection was idle.
+    /// EOF, or `stop` was set before the next read.
     Closed,
 }
 
 /// Accumulates stream bytes into lines, surviving read timeouts (the
-/// serve loops set one so idle connections observe the stop flag).
+/// serve loops set one so idle connections observe the stop flag, which
+/// is checked before every read).
 ///
 /// Each read's bytes are scanned for `\n` once (`scanned` marks how far
 /// the pending line has been searched), so a long line costs linear time,
@@ -1126,6 +1127,12 @@ impl LineReader {
             }
             self.buf.drain(..self.pos);
             self.pos = 0;
+            // Checked before every read, not only after a timeout: a
+            // client that keeps the socket busy (blank lines, say) must
+            // not hold the drain open.
+            if stop.load(Ordering::SeqCst) {
+                return Ok(ReadLine::Closed);
+            }
             let mut chunk = [0u8; 4096];
             match s.read(&mut chunk) {
                 Ok(0) => return Ok(ReadLine::Closed),
@@ -1133,14 +1140,10 @@ impl LineReader {
                 Err(e)
                     if matches!(
                         e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if stop.load(Ordering::SeqCst) {
-                        return Ok(ReadLine::Closed);
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                        std::io::ErrorKind::WouldBlock
+                            | std::io::ErrorKind::TimedOut
+                            | std::io::ErrorKind::Interrupted
+                    ) => {}
                 Err(e) => return Err(e),
             }
         }

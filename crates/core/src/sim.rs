@@ -63,7 +63,7 @@ pub fn try_run_spec(
 }
 
 /// The geometry-independent keys of a [`SystemSpec`]: two specs with equal
-/// prefixes produce identical [`AnalyzedCellChunked`]s for the same base
+/// prefixes produce identical [`AnalyzedCell`]s for the same base
 /// trace, whatever their geometry or `hotspot_prefetch` flag. This is the
 /// analysis-cache key — e.g. `BCoh_RelUp` and `BCPref` share one entry.
 ///
@@ -135,7 +135,7 @@ pub struct PrepPhases {
 ///   before it is published in the hot-set cache, so a hit never sees an
 ///   unvalidated trace.
 #[derive(Debug, Default)]
-pub struct AnalyzedCellChunked {
+pub struct AnalyzedCell {
     /// Working trace after the prefix passes, or `None` (base is usable).
     pub trace: Option<Arc<ChunkedTrace>>,
     /// Pages mapped with the update protocol (§5.2).
@@ -156,7 +156,7 @@ pub struct AnalyzedCellChunked {
     walks: AtomicU64,
 }
 
-impl AnalyzedCellChunked {
+impl AnalyzedCell {
     /// Validator walks run so far over this analysis's working trace and
     /// its hot-spot rewrites: at most one for the working trace, plus one
     /// per materialized rewrite.
@@ -182,7 +182,7 @@ impl AnalyzedCellChunked {
         self.validated
             .get_or_init(|| self.walk(working, base.n_cpus(), ms))
             .clone()
-            .map_err(SimError::from_trace)
+            .map_err(SimError::from)
     }
 }
 
@@ -193,12 +193,12 @@ impl AnalyzedCellChunked {
 /// traces across experiments keyed by a config fingerprint.
 ///
 /// Its working trace (the rewrite, or the base trace when `trace` is
-/// `None`) has always passed validation: [`prepare_from_analysis_chunked`]
+/// `None`) has always passed validation: [`prepare_from_analysis`]
 /// hands out nothing else, so the final run skips the validator walk.
 /// Callers assembling one by other means must validate its working trace
 /// first.
 #[derive(Clone, Debug)]
-pub struct PreparedCellChunked {
+pub struct PreparedCell {
     /// The rewritten trace, or `None` when no pass touched it (run the
     /// original). Shared: several cells that converge on the same rewrite
     /// (e.g. two geometries with the same hot set) hold one allocation.
@@ -217,12 +217,12 @@ pub struct PreparedCellChunked {
 /// plus one open output chunk per stream, never a materialized
 /// `Vec<Event>`. The plans themselves ([`transform::false_sharing_plan_meta`]
 /// etc.) read only the metadata.
-pub fn analyze_cell_chunked(trace: &ChunkedTrace, spec: SystemSpec) -> AnalyzedCellChunked {
+pub fn analyze_cell_chunked(trace: &ChunkedTrace, spec: SystemSpec) -> AnalyzedCell {
     let mut update_pages = PageSet::new();
     let mut owned: Option<ChunkedTrace> = None;
 
     if spec.deferred_copy {
-        owned = Some(crate::deferred::apply_deferred_copy_chunked(
+        owned = Some(crate::deferred::apply_deferred_copy(
             owned.as_ref().unwrap_or(trace),
         ));
     }
@@ -236,14 +236,14 @@ pub fn analyze_cell_chunked(trace: &ChunkedTrace, spec: SystemSpec) -> AnalyzedC
         let l2_size = Geometry::default().machine_config(&spec).l2.size;
         let working = owned.as_ref().unwrap_or(trace);
         let colored = transform::TransformPipeline::new()
-            .coloring_chunked(working, l2_size)
-            .run_chunked(working);
+            .coloring(working, l2_size)
+            .run(working);
         owned = Some(colored);
     }
 
     if spec.privatize || spec.relocate || spec.update != UpdatePolicy::None {
         let working = owned.as_ref().unwrap_or(trace);
-        let profile = analysis::profile_sharing_chunked(working);
+        let profile = analysis::profile_sharing(working);
         let privatized = if spec.privatize {
             analysis::find_privatizable(&profile)
         } else {
@@ -289,7 +289,7 @@ pub fn analyze_cell_chunked(trace: &ChunkedTrace, spec: SystemSpec) -> AnalyzedC
         if !plan.is_empty() {
             pipe = pipe.relocate(&plan);
         }
-        let rewritten = pipe.run_chunked(working);
+        let rewritten = pipe.run(working);
         owned = Some(rewritten);
     }
 
@@ -300,34 +300,27 @@ pub fn analyze_cell_chunked(trace: &ChunkedTrace, spec: SystemSpec) -> AnalyzedC
             .collect();
     }
 
-    AnalyzedCellChunked {
+    AnalyzedCell {
         trace: owned.map(Arc::new),
         update_pages,
-        ..AnalyzedCellChunked::default()
+        ..AnalyzedCell::default()
     }
 }
 
 /// The geometry-dependent preparation suffix: the hot-spot profiling
 /// replay, hot-site ranking, and prefetch-insertion rewrite. For specs
 /// without `hotspot_prefetch` this just repackages the analysis.
-pub fn prepare_from_analysis_chunked(
+pub fn prepare_from_analysis(
     trace: &ChunkedTrace,
-    analyzed: &AnalyzedCellChunked,
+    analyzed: &AnalyzedCell,
     spec: SystemSpec,
     geometry: Geometry,
     audit: AuditLevel,
-) -> Result<(PreparedCellChunked, PrepPhases), SimError> {
-    prepare_from_analysis_chunked_cancellable(
-        trace,
-        analyzed,
-        spec,
-        geometry,
-        audit,
-        &CancelToken::none(),
-    )
+) -> Result<(PreparedCell, PrepPhases), SimError> {
+    prepare_from_analysis_cancellable(trace, analyzed, spec, geometry, audit, &CancelToken::none())
 }
 
-/// [`prepare_from_analysis_chunked`] with a cooperative-cancellation token
+/// [`prepare_from_analysis`] with a cooperative-cancellation token
 /// wired into the profiling replay (the only machine run in this phase;
 /// the analysis transforms themselves are not cancellation points, so a
 /// cancellation grace period must absorb them).
@@ -342,19 +335,19 @@ pub fn prepare_from_analysis_chunked(
 /// analysis's hot-set cache when another geometry already ranked the same
 /// sites.
 ///
-/// Validation is memoized on `analyzed` (see [`AnalyzedCellChunked`]):
+/// Validation is memoized on `analyzed` (see [`AnalyzedCell`]):
 /// the working trace is walked once per analysis and each rewrite once at
 /// materialization, so neither the profiling replay nor the final run
 /// walks a trace again. A malformed working trace fails every preparation
 /// that uses it with the same typed error.
-pub fn prepare_from_analysis_chunked_cancellable(
+pub fn prepare_from_analysis_cancellable(
     trace: &ChunkedTrace,
-    analyzed: &AnalyzedCellChunked,
+    analyzed: &AnalyzedCell,
     spec: SystemSpec,
     geometry: Geometry,
     audit: AuditLevel,
     cancel: &CancelToken,
-) -> Result<(PreparedCellChunked, PrepPhases), SimError> {
+) -> Result<(PreparedCell, PrepPhases), SimError> {
     let mut phases = PrepPhases::default();
     analyzed.validate_working(trace, &mut phases.validate_ms)?;
     let mut out = analyzed.trace.clone();
@@ -394,7 +387,7 @@ pub fn prepare_from_analysis_chunked_cancellable(
                 // an unvalidated rewrite.
                 analyzed
                     .walk(&t, trace.n_cpus(), &mut walk_ms)
-                    .map_err(SimError::from_trace)?;
+                    .map_err(SimError::from)?;
                 // First live writer wins, so concurrent preparers agree.
                 let mut map = analyzed.hot.lock().expect("hot cache poisoned");
                 match map.get(&hot).and_then(Weak::upgrade) {
@@ -412,7 +405,7 @@ pub fn prepare_from_analysis_chunked_cancellable(
     }
 
     Ok((
-        PreparedCellChunked {
+        PreparedCell {
             trace: out,
             update_pages: analyzed.update_pages.clone(),
         },
@@ -422,18 +415,17 @@ pub fn prepare_from_analysis_chunked_cancellable(
 
 /// The execution half of [`try_run_spec_audited`]: one deterministic
 /// single-threaded machine run over the prepared trace.
-pub fn run_prepared_chunked(
+pub fn run_prepared(
     trace: &ChunkedTrace,
-    prepared: &PreparedCellChunked,
+    prepared: &PreparedCell,
     spec: SystemSpec,
     geometry: Geometry,
     audit: AuditLevel,
 ) -> Result<RunResult, SimError> {
-    run_prepared_chunked_timed(trace, prepared, spec, geometry, audit, &CancelToken::none())
-        .map(|(r, _)| r)
+    run_prepared_timed(trace, prepared, spec, geometry, audit, &CancelToken::none()).map(|(r, _)| r)
 }
 
-/// [`run_prepared_chunked`] with a cooperative-cancellation token wired
+/// [`run_prepared`] with a cooperative-cancellation token wired
 /// into the machine's event loop (a tripped token surfaces as
 /// [`SimErrorKind::Cancelled`](oscache_memsys::SimErrorKind::Cancelled)),
 /// also reporting the machine's decode-overlap telemetry: residual
@@ -442,9 +434,9 @@ pub fn run_prepared_chunked(
 /// the statistics. The machine pulls decoded events through small per-CPU
 /// windows, so the run's peak memory is the encoded chunks plus O(n_cpus)
 /// decode windows.
-pub fn run_prepared_chunked_timed(
+pub fn run_prepared_timed(
     trace: &ChunkedTrace,
-    prepared: &PreparedCellChunked,
+    prepared: &PreparedCell,
     spec: SystemSpec,
     geometry: Geometry,
     audit: AuditLevel,
@@ -456,7 +448,7 @@ pub fn run_prepared_chunked_timed(
     cfg.audit = audit;
     cfg.cancel = cancel.clone();
     let working = prepared.trace.as_deref().unwrap_or(trace);
-    // Preparation validated the working trace (see `PreparedCellChunked`).
+    // Preparation validated the working trace (see `PreparedCell`).
     let mut machine = Machine::with_recording_prevalidated_chunked(cfg, working, true)?;
     let stats = machine.run_mut()?;
     Ok((
@@ -474,7 +466,7 @@ pub fn run_prepared_chunked_timed(
 /// analyze, prepare, run — every phase streaming.
 ///
 /// Callers that prepare several geometries of one spec should call
-/// [`analyze_cell_chunked`] once and [`prepare_from_analysis_chunked`] per
+/// [`analyze_cell_chunked`] once and [`prepare_from_analysis`] per
 /// geometry instead (the runner's
 /// [`TraceCache`](crate::runner::TraceCache) does).
 pub fn try_run_spec_audited(
@@ -484,18 +476,17 @@ pub fn try_run_spec_audited(
     audit: AuditLevel,
 ) -> Result<RunResult, SimError> {
     let analyzed = analyze_cell_chunked(trace, spec);
-    let (prepared, _phases) =
-        prepare_from_analysis_chunked(trace, &analyzed, spec, geometry, audit)?;
-    run_prepared_chunked(trace, &prepared, spec, geometry, audit)
+    let (prepared, _phases) = prepare_from_analysis(trace, &analyzed, spec, geometry, audit)?;
+    run_prepared(trace, &prepared, spec, geometry, audit)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oscache_workloads::{build_chunked, BuildOptions, Workload};
+    use oscache_workloads::{build, BuildOptions, Workload};
 
     fn trace() -> ChunkedTrace {
-        build_chunked(
+        build(
             Workload::Trfd4,
             BuildOptions {
                 scale: 0.05,

@@ -497,8 +497,8 @@ impl<'a> TransformPipeline<'a> {
     ///
     /// The first-touch page map is computed here, by streaming each chunk
     /// of `trace` through one decode window — pass the same trace to
-    /// [`TransformPipeline::run_chunked`].
-    pub fn coloring_chunked(mut self, trace: &ChunkedTrace, l2_size: u32) -> Self {
+    /// [`TransformPipeline::run`].
+    pub fn coloring(mut self, trace: &ChunkedTrace, l2_size: u32) -> Self {
         self.color = Some(first_touch_color_map(trace, l2_size));
         self
     }
@@ -618,7 +618,7 @@ impl<'a> TransformPipeline<'a> {
     /// Emits one post-privatization event through relocation and escape
     /// instrumentation straight into a chunk builder. Emission never
     /// reaches back into sealed chunks.
-    fn emit_chunked(&self, meta: &TraceMeta, out: &mut ChunkedStreamBuilder, e: Event) {
+    fn emit(&self, meta: &TraceMeta, out: &mut ChunkedStreamBuilder, e: Event) {
         let e = self.apply_reloc(e);
         out.push(e);
         if self.escapes {
@@ -638,7 +638,7 @@ impl<'a> TransformPipeline<'a> {
     /// length. Coloring and relocation are pure per-event maps, and
     /// privatization's two-event peephole needs only a one-event lookahead,
     /// which the peekable chunk iterator provides across chunk boundaries.
-    pub fn run_chunked(&self, trace: &ChunkedTrace) -> ChunkedTrace {
+    pub fn run(&self, trace: &ChunkedTrace) -> ChunkedTrace {
         let n_cpus = trace.n_cpus();
         let mut out = ChunkedTrace::new(n_cpus, trace.meta.clone());
         for (cpu, stream) in trace.streams.iter().enumerate() {
@@ -666,17 +666,13 @@ impl<'a> TransformPipeline<'a> {
                                     it.next();
                                     let p = private_copy_addr(idx, cpu);
                                     let meta = &trace.meta;
-                                    self.emit_chunked(meta, &mut b, Event::Read { addr: p, class });
-                                    self.emit_chunked(
-                                        meta,
-                                        &mut b,
-                                        Event::Write { addr: p, class },
-                                    );
+                                    self.emit(meta, &mut b, Event::Read { addr: p, class });
+                                    self.emit(meta, &mut b, Event::Write { addr: p, class });
                                     continue;
                                 }
                                 // Aggregate use → read every CPU's copy.
                                 for c in 0..n_cpus {
-                                    self.emit_chunked(
+                                    self.emit(
                                         &trace.meta,
                                         &mut b,
                                         Event::Read {
@@ -691,7 +687,7 @@ impl<'a> TransformPipeline<'a> {
                         Event::Write { addr, class } => {
                             let w = addr.0 & !(WORD_SIZE - 1);
                             if let Some(&idx) = index.get(&w) {
-                                self.emit_chunked(
+                                self.emit(
                                     &trace.meta,
                                     &mut b,
                                     Event::Write {
@@ -705,7 +701,7 @@ impl<'a> TransformPipeline<'a> {
                         _ => {}
                     }
                 }
-                self.emit_chunked(&trace.meta, &mut b, e);
+                self.emit(&trace.meta, &mut b, e);
             }
             out.streams[cpu] = b.finish();
         }
@@ -716,7 +712,7 @@ impl<'a> TransformPipeline<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oscache_trace::{Mode, StreamBuilder, Trace};
+    use oscache_trace::{Mode, StreamBuilder};
 
     fn mini_trace() -> ChunkedTrace {
         let mut meta = TraceMeta::default();
@@ -724,7 +720,7 @@ mod tests {
         let bb = meta.code.add_block(Addr(0x1000), 4, site);
         let lsite = meta.code.add_site("loop", true);
         let lb = meta.code.add_block(Addr(0x2000), 4, lsite);
-        let mut t = Trace::new(2, meta);
+        let mut t = ChunkedTrace::new(2, meta);
         let mut b = StreamBuilder::new();
         b.set_mode(Mode::Os);
         b.exec(bb);
@@ -739,7 +735,7 @@ mod tests {
         b1.set_mode(Mode::Os);
         b1.rmw(Addr(0x0100_0000), DataClass::InfreqCounter);
         t.streams[1] = b1.finish();
-        ChunkedTrace::from_trace(&t)
+        t
     }
 
     /// One stream's decoded events.
@@ -757,7 +753,7 @@ mod tests {
         let t = mini_trace();
         let out = TransformPipeline::new()
             .privatize(&[Addr(0x0100_0000)])
-            .run_chunked(&t);
+            .run(&t);
         // cpu0: rmw → private pair; aggregate read → 2 reads (2 CPUs).
         let reads0: Vec<Addr> = events(&out, 0)
             .iter()
@@ -823,7 +819,7 @@ mod tests {
         let t = mini_trace();
         let mut m = RelocationMap::new();
         m.add(Addr(0x0100_0000), 4, Addr(RELOC_BASE));
-        let out = TransformPipeline::new().relocate(&m).run_chunked(&t);
+        let out = TransformPipeline::new().relocate(&m).run(&t);
         for s in &out.streams {
             for e in s {
                 if let Some(a) = e.data_addr() {
@@ -861,7 +857,7 @@ mod tests {
 
     #[test]
     fn update_page_plan_fits_one_page() {
-        let t = oscache_workloads::build_chunked(
+        let t = oscache_workloads::build(
             oscache_workloads::Workload::Trfd4,
             oscache_workloads::BuildOptions {
                 scale: 0.05,
@@ -869,7 +865,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let p = crate::analysis::profile_sharing_chunked(&t);
+        let p = crate::analysis::profile_sharing(&t);
         let privatized = crate::analysis::find_privatizable(&p);
         let set = crate::analysis::find_update_set(&p, &privatized);
         let (map, pages) = update_page_plan_meta(&t.meta, &set);
@@ -881,7 +877,7 @@ mod tests {
     fn escape_instrumentation_is_low_perturbation() {
         // The §2.2 check: instrumenting every basic block with an escape
         // load must not significantly change the measured OS behaviour.
-        let t = oscache_workloads::build_chunked(
+        let t = oscache_workloads::build(
             oscache_workloads::Workload::TrfdMake,
             oscache_workloads::BuildOptions {
                 scale: 0.1,
@@ -889,7 +885,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let instrumented = TransformPipeline::new().escapes().run_chunked(&t);
+        let instrumented = TransformPipeline::new().escapes().run(&t);
         // Escapes added one read per Exec event.
         let execs: usize = t
             .streams
@@ -897,9 +893,15 @@ mod tests {
             .flat_map(|s| s.iter())
             .filter(|e| matches!(e, Event::Exec { .. }))
             .count();
+        let reads = |t: &ChunkedTrace| -> usize {
+            t.streams
+                .iter()
+                .map(|s| s.iter().filter(|e| e.is_read()).count())
+                .sum()
+        };
         assert_eq!(
-            instrumented.to_trace().total_reads(),
-            t.to_trace().total_reads() + execs,
+            reads(&instrumented),
+            reads(&t) + execs,
             "one escape per basic block"
         );
         let base = crate::sim::run_system(&t, crate::config::System::Base);
@@ -932,18 +934,15 @@ mod tests {
     }
 
     /// Colors `t` for a 256-KB L2 and returns the rewritten stream 0.
-    fn colored(t: Trace) -> Vec<Event> {
-        let t = ChunkedTrace::from_trace(&t);
-        let out = TransformPipeline::new()
-            .coloring_chunked(&t, 256 * 1024)
-            .run_chunked(&t);
+    fn colored(t: ChunkedTrace) -> Vec<Event> {
+        let out = TransformPipeline::new().coloring(&t, 256 * 1024).run(&t);
         events(&out, 0)
     }
 
     #[test]
     fn coloring_spreads_conflicting_pages() {
         // Pages all congruent modulo the L2: coloring must separate them.
-        let mut t = Trace::new(1, TraceMeta::default());
+        let mut t = ChunkedTrace::new(1, TraceMeta::default());
         let mut b = StreamBuilder::new();
         b.set_mode(Mode::Os);
         for k in 0..8u32 {
@@ -965,7 +964,7 @@ mod tests {
 
     #[test]
     fn coloring_is_consistent_across_events_and_block_ops() {
-        let mut t = Trace::new(1, TraceMeta::default());
+        let mut t = ChunkedTrace::new(1, TraceMeta::default());
         let mut b = StreamBuilder::new();
         b.begin_block_copy(
             Addr(0x1000_0000),
@@ -995,7 +994,7 @@ mod tests {
 
     #[test]
     fn coloring_leaves_kernel_structures_alone() {
-        let mut t = Trace::new(1, TraceMeta::default());
+        let mut t = ChunkedTrace::new(1, TraceMeta::default());
         let mut b = StreamBuilder::new();
         b.read(Addr(0x0100_0000), DataClass::InfreqCounter);
         b.read(Addr(0x1000_0000), DataClass::PageFrame);
@@ -1010,7 +1009,7 @@ mod tests {
         let t = mini_trace();
         let id = TransformPipeline::new();
         assert!(id.is_identity());
-        assert_eq!(all_events(&id.run_chunked(&t)), all_events(&t));
+        assert_eq!(all_events(&id.run(&t)), all_events(&t));
     }
 
     #[test]
@@ -1018,7 +1017,7 @@ mod tests {
         let t = mini_trace();
         // mini trace has no vars; use a workload trace.
         assert!(static_pages_meta(&t.meta).is_empty());
-        let t2 = oscache_workloads::build_chunked(
+        let t2 = oscache_workloads::build(
             oscache_workloads::Workload::Shell,
             oscache_workloads::BuildOptions {
                 scale: 0.05,

@@ -4,12 +4,13 @@
 //! the production pipeline removes. The oracle tests pin output equality
 //! event-for-event.
 
+use super::FlatTrace;
 use oscache_core::transform::{
     private_copy_addr, RelocationMap, COLOR_BASE_PAGE, HOIST_LIMIT, LOOP_AHEAD,
 };
 #[allow(unused_imports)] // doc links
 use oscache_core::transform::{HotspotPlan, TransformPipeline};
-use oscache_trace::{Addr, DataClass, Event, Stream, Trace, WORD_SIZE};
+use oscache_trace::{Addr, DataClass, Event, WORD_SIZE};
 use std::collections::{HashMap, HashSet};
 
 /// Classes whose pages the allocator may place freely (dynamically
@@ -22,7 +23,7 @@ fn colorable(class: DataClass) -> bool {
 }
 
 /// Oracle for the privatization stage ([`TransformPipeline::privatize`]).
-pub fn privatize_counters(trace: &Trace, targets: &[Addr]) -> Trace {
+pub fn privatize_counters(trace: &FlatTrace, targets: &[Addr]) -> FlatTrace {
     let index: HashMap<u32, usize> = targets
         .iter()
         .enumerate()
@@ -30,8 +31,7 @@ pub fn privatize_counters(trace: &Trace, targets: &[Addr]) -> Trace {
         .collect();
     let n_cpus = trace.n_cpus();
     let mut out = trace.clone();
-    for (cpu, stream) in trace.streams.iter().enumerate() {
-        let events = stream.events();
+    for (cpu, events) in trace.streams.iter().enumerate() {
         let mut new = Vec::with_capacity(events.len());
         let mut i = 0;
         while i < events.len() {
@@ -75,17 +75,17 @@ pub fn privatize_counters(trace: &Trace, targets: &[Addr]) -> Trace {
             }
             i += 1;
         }
-        out.streams[cpu] = Stream::from_events(new);
+        out.streams[cpu] = new;
     }
     out
 }
 
 /// Oracle for the relocation stage ([`TransformPipeline::relocate`]).
-pub fn relocate(trace: &Trace, map: &RelocationMap) -> Trace {
+pub fn relocate(trace: &FlatTrace, map: &RelocationMap) -> FlatTrace {
     let mut out = trace.clone();
     let remap = |a: Addr| map.lookup(a).unwrap_or(a);
     for stream in &mut out.streams {
-        let events = std::mem::take(stream).into_events();
+        let events = std::mem::take(stream);
         let new: Vec<Event> = events
             .into_iter()
             .map(|e| match e {
@@ -121,17 +121,17 @@ pub fn relocate(trace: &Trace, map: &RelocationMap) -> Trace {
                 other => other,
             })
             .collect();
-        *stream = Stream::from_events(new);
+        *stream = new;
     }
     out
 }
 
 /// Oracle for hot-spot prefetch insertion ([`HotspotPlan`]).
-pub fn insert_hotspot_prefetches(trace: &Trace, hot_sites: &[u16]) -> Trace {
+pub fn insert_hotspot_prefetches(trace: &FlatTrace, hot_sites: &[u16]) -> FlatTrace {
     let hot: HashSet<u16> = hot_sites.iter().copied().collect();
     let mut out = trace.clone();
     for stream in &mut out.streams {
-        let events = std::mem::take(stream).into_events();
+        let events = std::mem::take(stream);
         // insertions[i] = prefetches to emit immediately before event i.
         let mut insertions: HashMap<usize, Vec<Event>> = HashMap::new();
         let mut cur_site: Option<u16> = None;
@@ -204,16 +204,16 @@ pub fn insert_hotspot_prefetches(trace: &Trace, hot_sites: &[u16]) -> Trace {
             }
             new.push(e);
         }
-        *stream = Stream::from_events(new);
+        *stream = new;
     }
     out
 }
 
 /// Oracle for escape instrumentation ([`TransformPipeline::escapes`]).
-pub fn instrument_escapes(trace: &Trace) -> Trace {
+pub fn instrument_escapes(trace: &FlatTrace) -> FlatTrace {
     let mut out = trace.clone();
     for stream in &mut out.streams {
-        let events = std::mem::take(stream).into_events();
+        let events = std::mem::take(stream);
         let mut new = Vec::with_capacity(events.len() * 2);
         for e in events {
             new.push(e);
@@ -225,13 +225,13 @@ pub fn instrument_escapes(trace: &Trace) -> Trace {
                 });
             }
         }
-        *stream = Stream::from_events(new);
+        *stream = new;
     }
     out
 }
 
-/// Oracle for the coloring stage ([`TransformPipeline::coloring_chunked`]).
-pub fn color_pages(trace: &Trace, l2_size: u32) -> Trace {
+/// Oracle for the coloring stage ([`TransformPipeline::coloring`]).
+pub fn color_pages(trace: &FlatTrace, l2_size: u32) -> FlatTrace {
     let colors = (l2_size / oscache_trace::PAGE_SIZE).max(1);
     let mut map: HashMap<u32, u32> = HashMap::new();
     let mut next_color = 0u32;
@@ -246,7 +246,7 @@ pub fn color_pages(trace: &Trace, l2_size: u32) -> Trace {
         });
     };
     for stream in &trace.streams {
-        for e in stream.events() {
+        for e in stream {
             match *e {
                 Event::Read { addr, class }
                 | Event::Write { addr, class }
@@ -275,7 +275,7 @@ pub fn color_pages(trace: &Trace, l2_size: u32) -> Trace {
     };
     let mut out = trace.clone();
     for stream in &mut out.streams {
-        let events = std::mem::take(stream).into_events();
+        let events = std::mem::take(stream);
         let new: Vec<Event> = events
             .into_iter()
             .map(|e| match e {
@@ -303,7 +303,7 @@ pub fn color_pages(trace: &Trace, l2_size: u32) -> Trace {
                 other => other,
             })
             .collect();
-        *stream = Stream::from_events(new);
+        *stream = new;
     }
     out
 }

@@ -4,7 +4,7 @@
 
 use oscache_core::{analysis, transform, Geometry, System};
 use oscache_memsys::{AuditLevel, Machine};
-use oscache_workloads::{build_chunked, BuildOptions, Workload};
+use oscache_workloads::{build, BuildOptions, Workload};
 use std::time::Instant;
 
 #[test]
@@ -15,7 +15,7 @@ fn attribute_prepare_time() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(1.0);
     let t0 = Instant::now();
-    let t = build_chunked(
+    let t = build(
         Workload::Trfd4,
         BuildOptions {
             scale,
@@ -30,7 +30,7 @@ fn attribute_prepare_time() {
     let geometry = Geometry::default();
 
     let t0 = Instant::now();
-    let profile = analysis::profile_sharing_chunked(&t);
+    let profile = analysis::profile_sharing(&t);
     println!("profile_sharing: {:?}", t0.elapsed());
 
     let t0 = Instant::now();
@@ -72,13 +72,11 @@ fn attribute_prepare_time() {
     let t0 = Instant::now();
     let t2 = transform::TransformPipeline::new()
         .privatize(&privatized)
-        .run_chunked(&t);
+        .run(&t);
     println!("privatize_counters: {:?}", t0.elapsed());
 
     let t0 = Instant::now();
-    let t3 = transform::TransformPipeline::new()
-        .relocate(&plan)
-        .run_chunked(&t2);
+    let t3 = transform::TransformPipeline::new().relocate(&plan).run(&t2);
     println!("relocate: {:?}", t0.elapsed());
 
     let t0 = Instant::now();

@@ -15,17 +15,17 @@
 
 mod common;
 
-use common::{assert_traces_equal, compat, through_chunks};
+use common::{assert_traces_equal, compat, through_chunks, FlatTrace};
 use oscache_core::transform::{
     false_sharing_plan_meta, full_update_pages_meta, update_page_plan_meta, HotspotPlan,
     RelocationMap, TransformPipeline,
 };
 use oscache_core::{
-    analysis, analyze_cell_chunked, deferred, prepare_from_analysis_chunked, try_run_spec_audited,
+    analysis, analyze_cell_chunked, deferred, prepare_from_analysis, try_run_spec_audited,
     Geometry, System, SystemSpec, UpdatePolicy,
 };
 use oscache_memsys::{AuditLevel, Machine, PageSet};
-use oscache_trace::{ChunkedTrace, Trace};
+use oscache_trace::ChunkedTrace;
 use oscache_workloads::{build, BuildOptions, Workload};
 use std::collections::HashSet;
 
@@ -33,14 +33,18 @@ use std::collections::HashSet;
 /// the whole trace. Deferred copy and the sharing profile are not
 /// rewrites the fusion touched, so they run through the production
 /// functions; every rewrite runs through the oracle.
-fn prepare_compat(trace: &Trace, spec: SystemSpec, geometry: Geometry) -> (Option<Trace>, PageSet) {
+fn prepare_compat(
+    trace: &FlatTrace,
+    spec: SystemSpec,
+    geometry: Geometry,
+) -> (Option<FlatTrace>, PageSet) {
     let mut update_pages = PageSet::new();
-    let mut owned: Option<Trace> = None;
+    let mut owned: Option<FlatTrace> = None;
 
     if spec.deferred_copy {
         owned = Some(through_chunks(
             owned.as_ref().unwrap_or(trace),
-            deferred::apply_deferred_copy_chunked,
+            deferred::apply_deferred_copy,
         ));
     }
 
@@ -54,7 +58,7 @@ fn prepare_compat(trace: &Trace, spec: SystemSpec, geometry: Geometry) -> (Optio
 
     if spec.privatize || spec.relocate || spec.update != UpdatePolicy::None {
         let working = owned.as_ref().unwrap_or(trace);
-        let profile = analysis::profile_sharing_chunked(&ChunkedTrace::from_trace(working));
+        let profile = analysis::profile_sharing(&working.encode());
         let privatized = if spec.privatize {
             analysis::find_privatizable(&profile)
         } else {
@@ -110,10 +114,7 @@ fn prepare_compat(trace: &Trace, spec: SystemSpec, geometry: Geometry) -> (Optio
         cfg.update_pages = update_pages.clone();
         cfg.audit = AuditLevel::Off;
         let working = owned.as_ref().unwrap_or(trace);
-        let profile_stats = Machine::new(cfg, &ChunkedTrace::from_trace(working))
-            .unwrap()
-            .run()
-            .unwrap();
+        let profile_stats = Machine::new(cfg, &working.encode()).unwrap().run().unwrap();
         let hot = analysis::find_hot_spots(&profile_stats.total(), &working.meta.code);
         owned = Some(compat::insert_hotspot_prefetches(working, &hot));
     }
@@ -121,7 +122,7 @@ fn prepare_compat(trace: &Trace, spec: SystemSpec, geometry: Geometry) -> (Optio
     (owned, update_pages)
 }
 
-fn workload_trace() -> Trace {
+fn workload_trace() -> ChunkedTrace {
     build(
         Workload::Trfd4,
         BuildOptions {
@@ -133,21 +134,20 @@ fn workload_trace() -> Trace {
 }
 
 /// Every hot-spot-eligible site of `t`.
-fn all_sites(t: &Trace) -> Vec<u16> {
+fn all_sites(t: &ChunkedTrace) -> Vec<u16> {
     t.meta.code.sites().map(|(id, _)| id.0).collect()
 }
 
 #[test]
 fn pipeline_matches_compat_single_passes() {
-    let t = workload_trace();
-    let p = analysis::profile_sharing_chunked(&ChunkedTrace::from_trace(&t));
+    let ct = workload_trace();
+    let p = analysis::profile_sharing(&ct);
+    let t = FlatTrace::decode(&ct);
     let privatized = analysis::find_privatizable(&p);
     assert!(!privatized.is_empty(), "need privatization targets");
     assert_traces_equal(
         &through_chunks(&t, |ct| {
-            TransformPipeline::new()
-                .privatize(&privatized)
-                .run_chunked(ct)
+            TransformPipeline::new().privatize(&privatized).run(ct)
         }),
         &compat::privatize_counters(&t, &privatized),
         "privatize",
@@ -155,22 +155,18 @@ fn pipeline_matches_compat_single_passes() {
     let plan = false_sharing_plan_meta(&t.meta, &HashSet::new());
     assert!(!plan.is_empty(), "need relocation ranges");
     assert_traces_equal(
-        &through_chunks(&t, |ct| {
-            TransformPipeline::new().relocate(&plan).run_chunked(ct)
-        }),
+        &through_chunks(&t, |ct| TransformPipeline::new().relocate(&plan).run(ct)),
         &compat::relocate(&t, &plan),
         "relocate",
     );
     assert_traces_equal(
-        &through_chunks(&t, |ct| TransformPipeline::new().escapes().run_chunked(ct)),
+        &through_chunks(&t, |ct| TransformPipeline::new().escapes().run(ct)),
         &compat::instrument_escapes(&t),
         "escapes",
     );
     assert_traces_equal(
         &through_chunks(&t, |ct| {
-            TransformPipeline::new()
-                .coloring_chunked(ct, 256 * 1024)
-                .run_chunked(ct)
+            TransformPipeline::new().coloring(ct, 256 * 1024).run(ct)
         }),
         &compat::color_pages(&t, 256 * 1024),
         "coloring",
@@ -181,19 +177,20 @@ fn pipeline_matches_compat_single_passes() {
 fn fused_pipeline_matches_compat_composition() {
     // The fused walk plus the hot-spot merge must equal the pass-by-pass
     // *composition* in the pipeline's stage order, every stage enabled.
-    let t = workload_trace();
-    let p = analysis::profile_sharing_chunked(&ChunkedTrace::from_trace(&t));
+    let ct = workload_trace();
+    let p = analysis::profile_sharing(&ct);
     let privatized = analysis::find_privatizable(&p);
-    let plan = false_sharing_plan_meta(&t.meta, &HashSet::new());
-    let sites = all_sites(&t);
+    let plan = false_sharing_plan_meta(&ct.meta, &HashSet::new());
+    let sites = all_sites(&ct);
+    let t = FlatTrace::decode(&ct);
 
     let fused = through_chunks(&t, |ct| {
         let rewritten = TransformPipeline::new()
-            .coloring_chunked(ct, 256 * 1024)
+            .coloring(ct, 256 * 1024)
             .privatize(&privatized)
             .relocate(&plan)
             .escapes()
-            .run_chunked(ct);
+            .run(ct);
         HotspotPlan::build_chunked(&rewritten).materialize_chunked(&rewritten, &sites)
     });
 
@@ -207,12 +204,12 @@ fn fused_pipeline_matches_compat_composition() {
 
 #[test]
 fn hotspot_plan_matches_compat_insertion() {
-    let t = workload_trace();
-    let ct = ChunkedTrace::from_trace(&t);
+    let ct = workload_trace();
+    let t = FlatTrace::decode(&ct);
     let plan = HotspotPlan::build_chunked(&ct);
     // Every site (loop and sequence alike, exercising both insertion
     // shapes and hoisting), a subset, and the empty set (identity merge).
-    let sites = all_sites(&t);
+    let sites = all_sites(&ct);
     let some: Vec<u16> = sites.iter().copied().take(sites.len() / 2).collect();
     for (what, set) in [
         ("all sites", sites.clone()),
@@ -220,7 +217,7 @@ fn hotspot_plan_matches_compat_insertion() {
         ("empty", vec![]),
     ] {
         assert_traces_equal(
-            &plan.materialize_chunked(&ct, &set).to_trace(),
+            &FlatTrace::decode(&plan.materialize_chunked(&ct, &set)),
             &compat::insert_hotspot_prefetches(&t, &set),
             &format!("hotspot {what}"),
         );
@@ -228,7 +225,7 @@ fn hotspot_plan_matches_compat_insertion() {
 }
 
 fn check_workload(workload: Workload, seed: u64) {
-    let t = build(
+    let ct = build(
         workload,
         BuildOptions {
             scale: 0.05,
@@ -236,7 +233,7 @@ fn check_workload(workload: Workload, seed: u64) {
             ..Default::default()
         },
     );
-    let ct = ChunkedTrace::from_trace(&t);
+    let t = FlatTrace::decode(&ct);
     let geometry = Geometry::default();
     // Every ladder system, plus coloring alone and coloring stacked on the
     // full ladder top (exercises the C stage feeding P/R/H).
@@ -254,14 +251,14 @@ fn check_workload(workload: Workload, seed: u64) {
     for (label, spec) in specs {
         let analyzed = analyze_cell_chunked(&ct, spec);
         let (fused, _) =
-            prepare_from_analysis_chunked(&ct, &analyzed, spec, geometry, AuditLevel::Off).unwrap();
+            prepare_from_analysis(&ct, &analyzed, spec, geometry, AuditLevel::Off).unwrap();
         let (oracle, oracle_pages) = prepare_compat(&t, spec, geometry);
         let what = format!("{workload:?}/{label}");
         assert_eq!(
             fused.update_pages, oracle_pages,
             "{what}: update pages differ"
         );
-        let fused = fused.trace.map(|p| p.to_trace());
+        let fused = fused.trace.map(|p| FlatTrace::decode(&p));
         assert_traces_equal(
             fused.as_ref().unwrap_or(&t),
             oracle.as_ref().unwrap_or(&t),
@@ -315,8 +312,8 @@ fn ladder_matrix_matches_compat_prepared_generic_replay() {
         ..BuildOptions::default()
     };
     for w in Workload::all() {
-        let t = build(w, opts);
-        let ct = ChunkedTrace::from_trace(&t);
+        let ct = build(w, opts);
+        let t = FlatTrace::decode(&ct);
         for sys in System::all() {
             let spec = sys.spec();
             for (gi, geometry) in geometries().into_iter().enumerate() {
@@ -324,7 +321,9 @@ fn ladder_matrix_matches_compat_prepared_generic_replay() {
                 let production = try_run_spec_audited(&ct, spec, geometry, AuditLevel::Off)
                     .unwrap_or_else(|e| panic!("{what} (production): {e}"));
                 let (prepared, update_pages) = prepare_compat(&t, spec, geometry);
-                let prepared = ChunkedTrace::from_trace(prepared.as_ref().unwrap_or(&t));
+                let prepared = prepared
+                    .as_ref()
+                    .map_or_else(|| ct.clone(), FlatTrace::encode);
                 let mut cfg = geometry.machine_config(&spec);
                 cfg.n_cpus = t.n_cpus();
                 cfg.update_pages = update_pages;

@@ -1,11 +1,11 @@
 use oscache_core::{run_system, System};
-use oscache_workloads::{build_chunked, BuildOptions, Workload};
+use oscache_workloads::{build, BuildOptions, Workload};
 
 #[test]
 #[ignore]
 fn probe() {
     for w in Workload::all() {
-        let t = build_chunked(
+        let t = build(
             w,
             BuildOptions {
                 scale: 0.3,

@@ -1,6 +1,6 @@
 use oscache_kernel::Kernel;
 use oscache_memsys::{Machine, MachineConfig};
-use oscache_trace::{ChunkedTrace, CodeLayout, Mode, StreamBuilder, Trace, TraceMeta};
+use oscache_trace::{ChunkedTrace, CodeLayout, Mode, StreamBuilder, TraceMeta};
 use oscache_workloads::{UserProc, UserPrograms};
 
 #[test]
@@ -23,7 +23,7 @@ fn user_only() {
                 _ => p.shell_step(&mut b, &u.shell, &mut rng),
             }
         }
-        let mut t = Trace::new(
+        let mut t = ChunkedTrace::new(
             4,
             TraceMeta {
                 workload: name.into(),
@@ -33,7 +33,7 @@ fn user_only() {
             },
         );
         t.streams[0] = b.finish();
-        let s = Machine::new(MachineConfig::base(), &ChunkedTrace::from_trace(&t))
+        let s = Machine::new(MachineConfig::base(), &t)
             .unwrap()
             .run()
             .unwrap();

@@ -11,20 +11,20 @@
 
 mod common;
 
-use common::{assert_traces_equal, compat};
+use common::{assert_traces_equal, compat, FlatTrace};
 use oscache_core::transform::HotspotPlan;
 use oscache_core::{analysis, analyze_cell_chunked, try_run_spec_audited, Geometry, System};
 use oscache_memsys::{profile_os_misses_chunked, AuditLevel, Machine, MachineConfig, SimStats};
 use oscache_trace::rng::{Rng, SmallRng};
-use oscache_trace::{Addr, ChunkedTrace, DataClass, Mode, StreamBuilder, Trace, TraceMeta};
-use oscache_workloads::{build_chunked, BuildOptions, Workload};
+use oscache_trace::{Addr, ChunkedTrace, DataClass, Mode, StreamBuilder, TraceMeta};
+use oscache_workloads::{build, BuildOptions, Workload};
 
 /// Reduced trace scale: big enough for thousands of misses per cell,
 /// small enough to run the full ladder oracle in seconds.
 const SCALE: f64 = 0.08;
 
 fn trace_of(workload: Workload) -> ChunkedTrace {
-    build_chunked(
+    build(
         workload,
         BuildOptions {
             scale: SCALE,
@@ -66,7 +66,7 @@ fn assert_profiler_exact(cfg: MachineConfig, trace: &ChunkedTrace, what: &str) -
     full
 }
 
-/// The profiling input `prepare_from_analysis_chunked` would hand the
+/// The profiling input `prepare_from_analysis` would hand the
 /// profiler for this (workload trace, system, geometry) cell.
 fn profiling_cfg(trace: &ChunkedTrace, system: System, geometry: Geometry) -> MachineConfig {
     let spec = system.spec();
@@ -136,7 +136,7 @@ fn profiler_matches_machine_on_random_traces() {
             .enumerate()
             .map(|(k, &s)| meta.code.add_block(Addr(0x1000 + 0x100 * k as u32), 4, s))
             .collect();
-        let mut t = Trace::new(n_cpus, meta);
+        let mut t = ChunkedTrace::new(n_cpus, meta);
         for cpu in 0..n_cpus {
             let mut b = StreamBuilder::new();
             let n = rng.gen_range(50..400u32);
@@ -162,7 +162,6 @@ fn profiler_matches_machine_on_random_traces() {
         }
         let mut cfg = MachineConfig::base();
         cfg.n_cpus = n_cpus;
-        let t = ChunkedTrace::from_trace(&t);
         assert_profiler_exact(cfg, &t, &format!("random seed {seed}"));
     }
 }
@@ -183,7 +182,7 @@ fn hotspot_plan_matches_compat_rewrite() {
         assert!(!hot.is_empty(), "{workload:?}: no hot sites ranked");
 
         let plan = HotspotPlan::build_chunked(working);
-        let flat = working.to_trace();
+        let flat = FlatTrace::decode(working);
         let mut sets: Vec<Vec<u16>> = vec![hot.clone(), vec![hot[0]]];
         // A rotated subset exercises orderings the ranking never produces.
         if hot.len() > 2 {
@@ -193,7 +192,7 @@ fn hotspot_plan_matches_compat_rewrite() {
         }
         for set in sets {
             assert_traces_equal(
-                &plan.materialize_chunked(working, &set).to_trace(),
+                &FlatTrace::decode(&plan.materialize_chunked(working, &set)),
                 &compat::insert_hotspot_prefetches(&flat, &set),
                 &format!("{workload:?}: set {set:?}"),
             );

@@ -3,34 +3,28 @@
 
 use oscache_core::transform::{HotspotPlan, RelocationMap, TransformPipeline};
 use oscache_trace::rng::{Rng, SmallRng};
-use oscache_trace::{Addr, ChunkedTrace, DataClass, Event, Mode, StreamBuilder, Trace, TraceMeta};
+use oscache_trace::{Addr, ChunkedTrace, DataClass, Event, Mode, StreamBuilder, TraceMeta};
 
 const SEEDS: std::ops::Range<u64> = 0..24;
 
-/// The relocation stage alone, decoded for inspection.
-fn relocate(t: &Trace, map: &RelocationMap) -> Trace {
-    let ct = ChunkedTrace::from_trace(t);
-    TransformPipeline::new()
-        .relocate(map)
-        .run_chunked(&ct)
-        .to_trace()
+/// The relocation stage alone.
+fn relocate(t: &ChunkedTrace, map: &RelocationMap) -> ChunkedTrace {
+    TransformPipeline::new().relocate(map).run(t)
 }
 
-/// The privatization stage alone, decoded for inspection.
-fn privatize_counters(t: &Trace, targets: &[Addr]) -> Trace {
-    let ct = ChunkedTrace::from_trace(t);
-    TransformPipeline::new()
-        .privatize(targets)
-        .run_chunked(&ct)
-        .to_trace()
+/// The privatization stage alone.
+fn privatize_counters(t: &ChunkedTrace, targets: &[Addr]) -> ChunkedTrace {
+    TransformPipeline::new().privatize(targets).run(t)
 }
 
-/// Hot-spot prefetch insertion at `hot_sites`, decoded for inspection.
-fn insert_hotspot_prefetches(t: &Trace, hot_sites: &[u16]) -> Trace {
-    let ct = ChunkedTrace::from_trace(t);
-    HotspotPlan::build_chunked(&ct)
-        .materialize_chunked(&ct, hot_sites)
-        .to_trace()
+/// Hot-spot prefetch insertion at `hot_sites`.
+fn insert_hotspot_prefetches(t: &ChunkedTrace, hot_sites: &[u16]) -> ChunkedTrace {
+    HotspotPlan::build_chunked(t).materialize_chunked(t, hot_sites)
+}
+
+/// One stream's decoded events.
+fn events(t: &ChunkedTrace, cpu: usize) -> Vec<Event> {
+    t.streams[cpu].iter().collect()
 }
 
 fn random_refs(rng: &mut SmallRng, max_addr: u32, max_len: usize) -> Vec<(u32, bool)> {
@@ -40,11 +34,11 @@ fn random_refs(rng: &mut SmallRng, max_addr: u32, max_len: usize) -> Vec<(u32, b
         .collect()
 }
 
-fn random_trace(refs: &[(u32, bool)]) -> Trace {
+fn random_trace(refs: &[(u32, bool)]) -> ChunkedTrace {
     let mut meta = TraceMeta::default();
     let site = meta.code.add_site("s", false);
     let bb = meta.code.add_block(Addr(0x100), 4, site);
-    let mut t = Trace::new(2, meta);
+    let mut t = ChunkedTrace::new(2, meta);
     for cpu in 0..2 {
         let mut b = StreamBuilder::new();
         b.set_mode(Mode::Os);
@@ -72,7 +66,7 @@ fn empty_relocation_is_identity() {
         let t = random_trace(&random_refs(&mut rng, u32::MAX, 100));
         let out = relocate(&t, &RelocationMap::new());
         for cpu in 0..2 {
-            assert_eq!(out.streams[cpu].events(), t.streams[cpu].events());
+            assert_eq!(events(&out, cpu), events(&t, cpu));
         }
     }
 }
@@ -93,11 +87,7 @@ fn relocation_is_structure_preserving() {
         let out = relocate(&t, &m);
         for cpu in 0..2 {
             assert_eq!(out.streams[cpu].len(), t.streams[cpu].len());
-            for (a, b) in t.streams[cpu]
-                .events()
-                .iter()
-                .zip(out.streams[cpu].events())
-            {
+            for (a, b) in t.streams[cpu].iter().zip(&out.streams[cpu]) {
                 match (a.data_addr(), b.data_addr()) {
                     (Some(x), Some(y)) => {
                         if x.0 >= old.0 && x.0 < old.0 + len {
@@ -126,7 +116,7 @@ fn privatization_removes_shared_addresses() {
         let mut meta = TraceMeta::default();
         let site = meta.code.add_site("s", false);
         let _bb = meta.code.add_block(Addr(0x100), 4, site);
-        let mut t = Trace::new(2, meta);
+        let mut t = ChunkedTrace::new(2, meta);
         for cpu in 0..2 {
             let mut b = StreamBuilder::new();
             for _ in 0..n_updates {
@@ -140,17 +130,19 @@ fn privatization_removes_shared_addresses() {
         let out = privatize_counters(&t, &[target]);
         let mut private_addrs = std::collections::HashSet::new();
         for cpu in 0..2 {
-            for e in out.streams[cpu].events() {
+            for e in &out.streams[cpu] {
                 if let Some(a) = e.data_addr() {
                     assert_ne!(a, target, "shared counter survived");
                     private_addrs.insert(a.line(64));
                 }
             }
             // updates unchanged in count: each rmw is still read+write
-            let s = &out.streams[cpu];
-            assert_eq!(s.write_count(), n_updates, "updates must stay per-cpu");
+            let s = events(&out, cpu);
+            let writes = s.iter().filter(|e| e.is_write()).count();
+            assert_eq!(writes, n_updates, "updates must stay per-cpu");
             // each lone read expands into one read per CPU
-            assert_eq!(s.read_count(), n_updates + n_lone_reads * 2);
+            let reads = s.iter().filter(|e| e.is_read()).count();
+            assert_eq!(reads, n_updates + n_lone_reads * 2);
         }
         // the two CPUs' copies are in different 64-byte lines
         assert!(private_addrs.len() >= 2 || n_updates == 0);
@@ -165,25 +157,20 @@ fn prefetch_insertion_is_additive() {
         let t = random_trace(&random_refs(&mut rng, 4096, 150));
         let out = insert_hotspot_prefetches(&t, &[0]);
         for cpu in 0..2 {
-            let orig: Vec<&Event> = t.streams[cpu].events().iter().collect();
-            let kept: Vec<&Event> = out.streams[cpu]
-                .events()
+            let kept: Vec<Event> = out.streams[cpu]
                 .iter()
                 .filter(|e| !matches!(e, Event::Prefetch { .. }))
                 .collect();
-            assert_eq!(orig.len(), kept.len());
-            for (a, b) in orig.iter().zip(&kept) {
-                assert_eq!(*a, *b);
-            }
+            assert_eq!(events(&t, cpu), kept);
         }
     }
 }
 
-/// `apply_deferred_copy_chunked` never removes more events than the
+/// `apply_deferred_copy` never removes more events than the
 /// read-only copies' footprints, and leaves a trace the machine can replay.
 #[test]
 fn deferred_copy_is_safe_on_random_copy_chains() {
-    use oscache_core::deferred::{analyze_chunked, apply_deferred_copy_chunked};
+    use oscache_core::deferred::{analyze_chunked, apply_deferred_copy};
     for seed in SEEDS {
         let mut rng = SmallRng::seed_from_u64(seed);
         let lens: Vec<u32> = (0..rng.gen_range(1usize..10))
@@ -193,7 +180,7 @@ fn deferred_copy_is_safe_on_random_copy_chains() {
         let mut meta = TraceMeta::default();
         let site = meta.code.add_site("s", false);
         let _bb = meta.code.add_block(Addr(0x100), 4, site);
-        let mut t = Trace::new(1, meta);
+        let mut t = ChunkedTrace::new(1, meta);
         let mut b = StreamBuilder::new();
         b.set_mode(Mode::Os);
         for (k, len) in lens.iter().enumerate() {
@@ -213,23 +200,21 @@ fn deferred_copy_is_safe_on_random_copy_chains() {
             }
         }
         t.streams[0] = b.finish();
-        let ct = ChunkedTrace::from_trace(&t);
-        let counts = analyze_chunked(&ct);
+        let counts = analyze_chunked(&t);
         assert_eq!(counts.small_copies as usize, lens.len());
-        let out = apply_deferred_copy_chunked(&ct).to_trace();
+        let out = apply_deferred_copy(&t);
         // All copies are read-only (no later writes): every bracket goes.
         let remaining = out.streams[0]
-            .events()
             .iter()
             .filter(|e| matches!(e, Event::BlockOpBegin { .. }))
             .count();
         assert_eq!(remaining, 0);
         // Replay must not panic and must account time.
-        let mut t4 = Trace::new(4, out.meta.clone());
+        let mut t4 = ChunkedTrace::new(4, out.meta.clone());
         t4.streams[0] = out.streams[0].clone();
         let cfg =
             oscache_memsys::MachineConfig::base().with_audit(oscache_memsys::AuditLevel::Strict);
-        let s = oscache_memsys::Machine::new(cfg, &ChunkedTrace::from_trace(&t4))
+        let s = oscache_memsys::Machine::new(cfg, &t4)
             .unwrap()
             .run()
             .unwrap();

@@ -18,8 +18,8 @@ fn prepared(
     cache: &TraceCache,
     base: &ChunkedTrace,
     cell: &Cell,
-) -> Result<(Arc<oscache_core::PreparedCellChunked>, PrepPhases), SimError> {
-    cache.prepared_chunked_cancellable(base, cell.fingerprint(opts()), &CancelToken::none())
+) -> Result<(Arc<oscache_core::PreparedCell>, PrepPhases), SimError> {
+    cache.prepared_cancellable(base, cell.fingerprint(opts()), &CancelToken::none())
 }
 
 fn opts() -> BuildOptions {
@@ -119,7 +119,7 @@ fn cached_trace_is_bitwise_identical_to_fresh_build() {
         (Workload::Arc2dFsck, 0.02, 0x05cac8e),
         (Workload::Trfd4, 0.03, 7),
     ];
-    let bytes = |t: &oscache_trace::Trace| {
+    let bytes = |t: &ChunkedTrace| {
         let mut buf = Vec::new();
         oscache_trace::write_trace(t, &mut buf).expect("serialize");
         buf
@@ -133,7 +133,7 @@ fn cached_trace_is_bitwise_identical_to_fresh_build() {
         let cached = cache.base_chunked(w, o);
         let fresh = build(w, o);
         assert_eq!(
-            bytes(&cached.to_trace()),
+            bytes(&cached),
             bytes(&fresh),
             "{w} scale={scale} seed={seed}: cache returned a different trace"
         );

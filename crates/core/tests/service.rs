@@ -14,7 +14,7 @@ use oscache_core::{render_experiment, Experiment, Journal, JournalHeader, Repro,
 use oscache_workloads::BuildOptions;
 use std::io::{Read, Write};
 use std::path::PathBuf;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 const SCALE: f64 = 0.02;
 
@@ -372,4 +372,55 @@ fn a_newline_free_client_gets_one_error_and_is_disconnected_early() {
         "read {} bytes before disconnecting",
         conn.read
     );
+}
+
+/// A client that sends a blank line on every read and raises `stop` (as
+/// SIGTERM would) once it has served `stop_after` reads. It hangs up
+/// after [`BLANK_LINE_CLIENT_MAX_READS`] reads, so a reader that ignores
+/// `stop` fails the test instead of hanging it.
+struct BlankLineClient<'a> {
+    reads: usize,
+    stop_after: usize,
+    stop: &'a AtomicBool,
+}
+
+const BLANK_LINE_CLIENT_MAX_READS: usize = 10_000;
+
+impl Read for BlankLineClient<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.reads == BLANK_LINE_CLIENT_MAX_READS {
+            return Ok(0);
+        }
+        self.reads += 1;
+        if self.reads == self.stop_after {
+            self.stop.store(true, Ordering::SeqCst);
+        }
+        buf[0] = b'\n';
+        Ok(1)
+    }
+}
+
+impl Write for BlankLineClient<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_blank_line_client_cannot_hold_the_drain_open() {
+    let server = Server::start(config(1), None);
+    let stop = AtomicBool::new(false);
+    let mut conn = BlankLineClient {
+        reads: 0,
+        stop_after: 10,
+        stop: &stop,
+    };
+    handle_connection(&server, &mut conn, &stop);
+    server.stop();
+    // The read that raised `stop` delivered one more blank line; the
+    // connection must close before asking for another.
+    assert_eq!(conn.reads, 10, "kept reading after stop was set");
 }

@@ -14,15 +14,15 @@
 use oscache_core::{analyze_cell_chunked, Geometry, System};
 use oscache_memsys::{AuditLevel, Machine, MachineConfig, SimStats};
 use oscache_trace::rng::{Rng, SmallRng};
-use oscache_trace::{Addr, ChunkedTrace, DataClass, Mode, StreamBuilder, Trace, TraceMeta};
-use oscache_workloads::{build_chunked, BuildOptions, Workload};
+use oscache_trace::{Addr, ChunkedTrace, DataClass, Mode, StreamBuilder, TraceMeta};
+use oscache_workloads::{build, BuildOptions, Workload};
 
 /// Reduced trace scale: big enough for thousands of misses per cell,
 /// small enough to run the full ladder differential in seconds.
 const SCALE: f64 = 0.08;
 
 fn trace_of(workload: Workload) -> ChunkedTrace {
-    build_chunked(
+    build(
         workload,
         BuildOptions {
             scale: SCALE,
@@ -183,7 +183,7 @@ fn specialized_replay_matches_generic_on_random_traces() {
             .enumerate()
             .map(|(k, &s)| meta.code.add_block(Addr(0x1000 + 0x100 * k as u32), 4, s))
             .collect();
-        let mut t = Trace::new(n_cpus, meta);
+        let mut t = ChunkedTrace::new(n_cpus, meta);
         for cpu in 0..n_cpus {
             let mut b = StreamBuilder::new();
             let n = rng.gen_range(50..400u32);
@@ -215,7 +215,6 @@ fn specialized_replay_matches_generic_on_random_traces() {
         if seed % 3 == 0 {
             cfg.update_pages.insert(0x0100_0000 >> 12);
         }
-        let t = ChunkedTrace::from_trace(&t);
         for record in [true, false] {
             let what = format!("random seed {seed} record={record}");
             assert_spec_matches_generic(cfg.clone(), &t, record, &what);

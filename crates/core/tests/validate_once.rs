@@ -16,11 +16,11 @@
 use oscache_core::experiments::figure6_sweep;
 use oscache_core::runner::{run_cells, TraceCache};
 use oscache_core::{
-    analyze_cell_chunked, prepare_from_analysis_chunked, run_prepared_chunked,
-    try_run_spec_audited, AnalysisPrefix, Experiment, Geometry, System, SystemSpec,
+    analyze_cell_chunked, prepare_from_analysis, run_prepared, try_run_spec_audited,
+    AnalysisPrefix, Experiment, Geometry, System, SystemSpec,
 };
 use oscache_memsys::{AuditLevel, SimError};
-use oscache_trace::{ChunkedTrace, Event, Stream};
+use oscache_trace::{ChunkedStream, ChunkedTrace, Event, CHUNK_EVENTS};
 use oscache_workloads::{build, BuildOptions, Workload};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -38,10 +38,9 @@ fn opts() -> BuildOptions {
 /// A TRFD_4 base trace with one unmatched `BlockOpEnd` appended to CPU 1.
 fn corrupt_base() -> ChunkedTrace {
     let mut t = build(Workload::Trfd4, opts());
-    let mut events = t.streams[1].events().to_vec();
-    events.push(Event::BlockOpEnd);
-    t.streams[1] = Stream::from_events(events);
-    ChunkedTrace::from_trace(&t)
+    let events = t.streams[1].iter().chain([Event::BlockOpEnd]);
+    t.streams[1] = ChunkedStream::from_events(events, CHUNK_EVENTS);
+    t
 }
 
 /// The cells replaying the corrupt base: two block-op systems plus a
@@ -60,7 +59,7 @@ fn corrupt_cells() -> Vec<(SystemSpec, Geometry)> {
 #[test]
 fn corrupt_base_fails_every_cell_with_the_same_typed_error() {
     let base = corrupt_base();
-    let expected = SimError::from_trace(
+    let expected = SimError::from(
         base.validate_for_cpus(base.n_cpus())
             .expect_err("the appended BlockOpEnd must be rejected"),
     );
@@ -84,13 +83,8 @@ fn corrupt_base_fails_every_cell_with_the_same_typed_error() {
                     let Some(&(spec, geometry)) = cells.get(i) else {
                         break;
                     };
-                    let got = prepare_from_analysis_chunked(
-                        &base,
-                        &analyzed,
-                        spec,
-                        geometry,
-                        AuditLevel::Off,
-                    );
+                    let got =
+                        prepare_from_analysis(&base, &analyzed, spec, geometry, AuditLevel::Off);
                     errors.lock().unwrap()[i] = Some(got.err());
                 });
             }
@@ -154,7 +148,7 @@ fn fig6_walks_each_distinct_working_trace_once() {
 
 #[test]
 fn concurrent_preparers_share_one_validated_rewrite() {
-    let base = ChunkedTrace::from_trace(&build(Workload::Trfd4, opts()));
+    let base = build(Workload::Trfd4, opts());
     let spec = System::BCPref.spec();
     let geometry = Geometry::default();
     let analyzed = analyze_cell_chunked(&base, spec);
@@ -164,7 +158,7 @@ fn concurrent_preparers_share_one_validated_rewrite() {
             .map(|_| {
                 s.spawn(|| {
                     barrier.wait();
-                    prepare_from_analysis_chunked(&base, &analyzed, spec, geometry, AuditLevel::Off)
+                    prepare_from_analysis(&base, &analyzed, spec, geometry, AuditLevel::Off)
                         .expect("prepare")
                         .0
                 })
@@ -187,30 +181,29 @@ fn concurrent_preparers_share_one_validated_rewrite() {
 
     let serial = try_run_spec_audited(&base, spec, geometry, AuditLevel::Off).expect("serial run");
     for p in &prepared {
-        let run = run_prepared_chunked(&base, p, spec, geometry, AuditLevel::Off).expect("run");
+        let run = run_prepared(&base, p, spec, geometry, AuditLevel::Off).expect("run");
         assert_eq!(run.stats, serial.stats);
     }
 }
 
 #[test]
 fn audited_preparation_reuses_the_memo() {
-    let base = ChunkedTrace::from_trace(&build(Workload::Trfd4, opts()));
+    let base = build(Workload::Trfd4, opts());
     let spec = System::BCPref.spec();
     let analyzed = analyze_cell_chunked(&base, spec);
     let geometry = Geometry::default();
     let (off, _) =
-        prepare_from_analysis_chunked(&base, &analyzed, spec, geometry, AuditLevel::Off).unwrap();
+        prepare_from_analysis(&base, &analyzed, spec, geometry, AuditLevel::Off).unwrap();
     let walks = analyzed.validation_walks();
     drop(off);
     let (strict, phases) =
-        prepare_from_analysis_chunked(&base, &analyzed, spec, geometry, AuditLevel::Strict)
-            .unwrap();
+        prepare_from_analysis(&base, &analyzed, spec, geometry, AuditLevel::Strict).unwrap();
     // The working trace is not walked again; only the re-materialized
     // rewrite (the first one died with `off`) is.
     assert_eq!(analyzed.validation_walks(), walks + 1);
     assert!(phases.validate_ms > 0.0);
-    let audited = run_prepared_chunked(&base, &strict, spec, geometry, AuditLevel::Strict)
-        .expect("strict run");
+    let audited =
+        run_prepared(&base, &strict, spec, geometry, AuditLevel::Strict).expect("strict run");
     let plain = try_run_spec_audited(&base, spec, geometry, AuditLevel::Off).unwrap();
     assert_eq!(audited.stats, plain.stats);
 }

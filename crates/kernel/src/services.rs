@@ -675,6 +675,19 @@ mod tests {
     use oscache_trace::rng::SmallRng;
     use oscache_trace::{CodeLayout, Event, Mode};
 
+    /// Finishes the builder and decodes its stream.
+    fn events(b: StreamBuilder) -> Vec<Event> {
+        b.finish().iter().collect()
+    }
+
+    fn reads(s: &[Event]) -> usize {
+        s.iter().filter(|e| e.is_read()).count()
+    }
+
+    fn writes(s: &[Event]) -> usize {
+        s.iter().filter(|e| e.is_write()).count()
+    }
+
     fn kernel() -> (Kernel, CodeLayout) {
         let mut code = CodeLayout::new();
         let k = Kernel::new(&mut code);
@@ -694,19 +707,14 @@ mod tests {
             DataClass::PageFrame,
             DataClass::PageFrame,
         );
-        let s = b.finish();
-        assert_eq!(s.read_count(), 512); // 4096 / 8
-        assert_eq!(s.write_count(), 512);
+        let s = events(b);
+        assert_eq!(reads(&s), 512); // 4096 / 8
+        assert_eq!(writes(&s), 512);
         let begins = s
-            .events()
             .iter()
             .filter(|e| matches!(e, Event::BlockOpBegin { .. }))
             .count();
-        let ends = s
-            .events()
-            .iter()
-            .filter(|e| matches!(e, Event::BlockOpEnd))
-            .count();
+        let ends = s.iter().filter(|e| matches!(e, Event::BlockOpEnd)).count();
         assert_eq!(begins, 1);
         assert_eq!(ends, 1);
     }
@@ -716,9 +724,9 @@ mod tests {
         let (k, _) = kernel();
         let mut b = StreamBuilder::new();
         k.block_zero(&mut b, Addr(0x1000_0000), 1024, DataClass::PageFrame);
-        let s = b.finish();
-        assert_eq!(s.read_count(), 0);
-        assert_eq!(s.write_count(), 128);
+        let s = events(b);
+        assert_eq!(reads(&s), 0);
+        assert_eq!(writes(&s), 128);
     }
 
     #[test]
@@ -728,8 +736,8 @@ mod tests {
         let mut b = StreamBuilder::new();
         b.set_mode(Mode::Os);
         k.page_fault(&mut b, &mut rng, 0, 5, 40, 100, Fill::Zero);
-        let s = b.finish(); // panics if locks unbalanced
-        let classes: Vec<_> = s.events().iter().filter_map(|e| e.data_class()).collect();
+        let s = events(b); // panics if locks unbalanced
+        let classes: Vec<_> = s.iter().filter_map(|e| e.data_class()).collect();
         assert!(classes.contains(&DataClass::PageTable));
         assert!(classes.contains(&DataClass::Freelist));
         assert!(classes.contains(&DataClass::InfreqCounter));
@@ -742,9 +750,8 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let mut b = StreamBuilder::new();
         k.fork(&mut b, &mut rng, 1, 2, 3, &[10, 11], &[20, 21]);
-        let s = b.finish();
+        let s = events(b);
         let copies = s
-            .events()
             .iter()
             .filter(|e| matches!(e, Event::BlockOpBegin { .. }))
             .count();
@@ -783,8 +790,8 @@ mod tests {
             false,
             DataClass::PageFrame,
         );
-        let s = b.finish();
-        let n = s.read_count();
+        let s = events(b);
+        let n = reads(&s);
         assert!(n > 80 && n < 180, "expected ~128 warm touches, got {n}");
     }
 }

@@ -11,11 +11,16 @@ fn kernel() -> Kernel {
     Kernel::new(&mut code)
 }
 
-fn classes_of(s: &oscache_trace::Stream) -> Vec<DataClass> {
-    s.events().iter().filter_map(|e| e.data_class()).collect()
+/// Finishes the builder and decodes its stream.
+fn events(b: StreamBuilder) -> Vec<Event> {
+    b.finish().iter().collect()
 }
 
-fn count_class(s: &oscache_trace::Stream, c: DataClass) -> usize {
+fn classes_of(s: &[Event]) -> Vec<DataClass> {
+    s.iter().filter_map(|e| e.data_class()).collect()
+}
+
+fn count_class(s: &[Event], c: DataClass) -> usize {
     classes_of(s).into_iter().filter(|&x| x == c).count()
 }
 
@@ -26,7 +31,7 @@ fn syscall_touches_dispatch_table_and_current_proc() {
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     k.syscall_entry(&mut b, &mut rng, 1, 9);
-    let s = b.finish();
+    let s = events(b);
     assert!(count_class(&s, DataClass::SyscallTable) >= 1);
     assert!(count_class(&s, DataClass::ProcTable) >= 10);
     assert!(count_class(&s, DataClass::KernelStack) >= 10);
@@ -40,9 +45,8 @@ fn page_fault_scans_ptes_sequentially() {
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     k.page_fault(&mut b, &mut rng, 0, 5, 100, 7, Fill::Soft);
-    let s = b.finish();
+    let s = events(b);
     let pte_reads: Vec<Addr> = s
-        .events()
         .iter()
         .filter_map(|e| match e {
             Event::Read {
@@ -59,7 +63,6 @@ fn page_fault_scans_ptes_sequentially() {
     }
     // The free-list lock protects the allocation.
     let acquires = s
-        .events()
         .iter()
         .filter(|e| matches!(e, Event::LockAcquire { .. }))
         .count();
@@ -74,9 +77,8 @@ fn page_fault_fill_kinds_differ() {
         let mut b = StreamBuilder::new();
         b.set_mode(Mode::Os);
         k.page_fault(&mut b, &mut rng.clone(), 0, 5, 100, 7, fill);
-        let s = b.finish();
-        s.events()
-            .iter()
+        let s = events(b);
+        s.iter()
             .filter_map(|e| match e {
                 Event::BlockOpBegin { op } => Some(op.kind),
                 _ => None,
@@ -99,10 +101,9 @@ fn context_switch_reads_the_target_process() {
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     k.context_switch(&mut b, &mut rng, 2, 17);
-    let s = b.finish();
+    let s = events(b);
     let proc17 = k.layout.proc_addr(17);
     let target_reads = s
-        .events()
         .iter()
         .filter(|e| {
             matches!(e, Event::Read { addr, class: DataClass::ProcTable }
@@ -121,9 +122,8 @@ fn timer_tick_takes_timer_and_accounting_locks() {
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     k.timer_tick(&mut b, &mut rng, 0, 4);
-    let s = b.finish();
+    let s = events(b);
     let lock_addrs: Vec<Addr> = s
-        .events()
         .iter()
         .filter_map(|e| match e {
             Event::LockAcquire { addr, .. } => Some(*addr),
@@ -141,20 +141,17 @@ fn xproc_pair_touches_cpievents_and_v_intr() {
     let mut send = StreamBuilder::new();
     send.set_mode(Mode::Os);
     k.xproc_send(&mut send, 3);
-    let s = send.finish();
-    assert_eq!(s.write_count(), 1);
-    assert_eq!(
-        s.events()[1].data_addr().unwrap(),
-        k.layout.cpievents_addr(3)
-    );
+    let s = events(send);
+    assert_eq!(s.iter().filter(|e| e.is_write()).count(), 1);
+    assert_eq!(s[1].data_addr().unwrap(), k.layout.cpievents_addr(3));
     let mut h = StreamBuilder::new();
     h.set_mode(Mode::Os);
     k.xproc_handle(&mut h, 3);
-    let s = h.finish();
+    let s = events(h);
     assert!(count_class(&s, DataClass::CpiEvents) >= 1);
     // v_intr is counter 0.
     let v_intr = k.layout.counter_addr(0);
-    assert!(s.events().iter().any(|e| e.data_addr() == Some(v_intr)));
+    assert!(s.iter().any(|e| e.data_addr() == Some(v_intr)));
 }
 
 #[test]
@@ -164,11 +161,11 @@ fn pager_sweep_reads_every_counter() {
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     k.pager_sweep(&mut b, &mut rng);
-    let s = b.finish();
+    let s = events(b);
     for c in 0..N_COUNTERS {
         let addr = k.layout.counter_addr(c);
         assert!(
-            s.events().iter().any(|e| e.data_addr() == Some(addr)),
+            s.iter().any(|e| e.data_addr() == Some(addr)),
             "counter {c} unread"
         );
     }
@@ -183,9 +180,8 @@ fn fork_pages_copies_the_parents_address_space() {
     let parent_base = k.layout.user_data(5);
     let child_base = k.layout.user_data(9);
     k.fork_pages(&mut b, &mut rng, 0, 5, 9, parent_base, child_base, 2);
-    let s = b.finish();
+    let s = events(b);
     let ops: Vec<_> = s
-        .events()
         .iter()
         .filter_map(|e| match e {
             Event::BlockOpBegin { op } => Some(*op),
@@ -230,9 +226,8 @@ fn file_ops_move_the_requested_bytes() {
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     k.file_read(&mut b, &mut rng, 0, 4, 512, 2);
-    let s = b.finish();
+    let s = events(b);
     let op = s
-        .events()
         .iter()
         .find_map(|e| match e {
             Event::BlockOpBegin { op } => Some(*op),
@@ -257,7 +252,7 @@ fn misc_lookup_probability_gates_cold_chases() {
             let mut b = StreamBuilder::new();
             b.set_mode(Mode::Os);
             k.syscall_entry(&mut b, &mut rng, 0, 4);
-            n += count_class(&b.finish(), DataClass::ProcTable);
+            n += count_class(&events(b), DataClass::ProcTable);
         }
         n
     };

@@ -1,7 +1,7 @@
 //! Fault injection for robustness testing.
 //!
-//! Each [`FaultKind`] applies one seeded perturbation to a copy of a trace
-//! — the kinds of damage a buggy generator, a truncated dump, or a corrupt
+//! Each [`FaultKind`] applies one seeded perturbation to a trace — the
+//! kinds of damage a buggy generator, a truncated dump, or a corrupt
 //! transport would produce. The contract the test suite (and `repro
 //! replay --inject`) asserts: a perturbed trace is either **rejected with a
 //! typed error** ([`oscache_trace::TraceError`] at validation, or a
@@ -13,7 +13,7 @@
 //! yields the same perturbed trace.
 
 use oscache_trace::rng::{Rng, SmallRng};
-use oscache_trace::{Addr, BlockKind, BlockOp, DataClass, Event, Stream, Trace};
+use oscache_trace::{Addr, BlockKind, BlockOp, ChunkedStream, ChunkedTrace, DataClass, Event};
 
 /// Deterministic **runner-level** fault: makes selected experiment cells
 /// panic inside the supervised fan-out, so the supervision layer's panic
@@ -161,17 +161,18 @@ fn addr_of_mut(ev: &mut Event) -> Option<&mut Addr> {
     }
 }
 
-/// Applies `kind` once to a copy of `trace`, deterministically in `seed`.
+/// Applies `kind` once to `trace`, deterministically in `seed`.
 ///
 /// Streams are chosen among the non-empty ones; a trace with only empty
 /// streams is returned unchanged (there is nothing to perturb except
 /// [`FaultKind::CorruptBlockOpLength`], which appends its corrupt
-/// operation to stream 0).
-pub fn inject(trace: &Trace, kind: FaultKind, seed: u64) -> Trace {
+/// operation to stream 0). Only the perturbed stream is decoded and
+/// re-encoded (at its own chunk capacity); every other stream moves
+/// through untouched.
+pub fn inject(mut trace: ChunkedTrace, kind: FaultKind, seed: u64) -> ChunkedTrace {
     // Decorrelate the streams of different fault kinds at the same seed.
     let mut rng = SmallRng::seed_from_u64(seed ^ ((kind as u64 + 1) << 56));
-    let mut out = trace.clone();
-    let candidates: Vec<usize> = out
+    let candidates: Vec<usize> = trace
         .streams
         .iter()
         .enumerate()
@@ -179,14 +180,17 @@ pub fn inject(trace: &Trace, kind: FaultKind, seed: u64) -> Trace {
         .map(|(i, _)| i)
         .collect();
     let cpu = if candidates.is_empty() {
-        if kind != FaultKind::CorruptBlockOpLength || out.streams.is_empty() {
-            return out;
+        if kind != FaultKind::CorruptBlockOpLength || trace.streams.is_empty() {
+            return trace;
         }
         0
     } else {
         candidates[rng.gen_range(0..candidates.len())]
     };
-    let mut events = std::mem::take(&mut out.streams[cpu]).into_events();
+    let stream = std::mem::take(&mut trace.streams[cpu]);
+    let capacity = stream.capacity();
+    let mut events: Vec<Event> = stream.iter().collect();
+    drop(stream);
     match kind {
         FaultKind::DropEvent => {
             let k = rng.gen_range(0..events.len());
@@ -254,8 +258,8 @@ pub fn inject(trace: &Trace, kind: FaultKind, seed: u64) -> Trace {
             }
         }
     }
-    out.streams[cpu] = Stream::from_events(events);
-    out
+    trace.streams[cpu] = ChunkedStream::from_events(events, capacity);
+    trace
 }
 
 #[cfg(test)]
@@ -263,11 +267,11 @@ mod tests {
     use super::*;
     use oscache_trace::{LockId, Mode, StreamBuilder, TraceMeta};
 
-    fn small_trace() -> Trace {
+    fn small_trace() -> ChunkedTrace {
         let mut meta = TraceMeta::default();
         let site = meta.code.add_site("t", false);
         let bb = meta.code.add_block(Addr(0x100), 2, site);
-        let mut t = Trace::new(2, meta);
+        let mut t = ChunkedTrace::new(2, meta);
         for s in &mut t.streams {
             let mut b = StreamBuilder::new();
             b.set_mode(Mode::Os);
@@ -287,10 +291,10 @@ mod tests {
     fn injection_is_deterministic() {
         let t = small_trace();
         for kind in FaultKind::ALL {
-            let a = inject(&t, kind, 7);
-            let b = inject(&t, kind, 7);
+            let a = inject(t.clone(), kind, 7);
+            let b = inject(t.clone(), kind, 7);
             for (sa, sb) in a.streams.iter().zip(&b.streams) {
-                assert_eq!(sa.events(), sb.events(), "{kind:?} not deterministic");
+                assert_eq!(sa, sb, "{kind:?} not deterministic");
             }
         }
     }
@@ -300,12 +304,12 @@ mod tests {
         let t = small_trace();
         for kind in FaultKind::ALL {
             for seed in 0..8 {
-                let p = inject(&t, kind, seed);
+                let p = inject(t.clone(), kind, seed);
                 let changed = t
                     .streams
                     .iter()
                     .zip(&p.streams)
-                    .filter(|(a, b)| a.events() != b.events())
+                    .filter(|(a, b)| a != b)
                     .count();
                 assert!(
                     changed <= 1,
@@ -327,7 +331,7 @@ mod tests {
     fn corrupt_block_len_always_invalidates() {
         let t = small_trace();
         for seed in 0..16 {
-            let p = inject(&t, FaultKind::CorruptBlockOpLength, seed);
+            let p = inject(t.clone(), FaultKind::CorruptBlockOpLength, seed);
             assert!(p.validate().is_err(), "seed {seed} still valid");
         }
     }
@@ -389,10 +393,17 @@ mod tests {
 
     #[test]
     fn empty_trace_survives_injection() {
-        let t = Trace::new(2, TraceMeta::default());
-        for kind in FaultKind::ALL {
-            let p = inject(&t, kind, 3);
-            assert_eq!(p.n_cpus(), 2);
+        // Streams from `ChunkedTrace::new` and from `Default` alike: the
+        // perturbed stream is re-encoded at its own capacity.
+        let defaulted = ChunkedTrace {
+            streams: vec![ChunkedStream::default(); 2],
+            meta: TraceMeta::default(),
+        };
+        for t in [ChunkedTrace::new(2, TraceMeta::default()), defaulted] {
+            for kind in FaultKind::ALL {
+                let p = inject(t.clone(), kind, 3);
+                assert_eq!(p.n_cpus(), 2);
+            }
         }
     }
 }

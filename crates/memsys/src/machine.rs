@@ -380,7 +380,7 @@ impl<'t> Machine<'t> {
     ) -> Result<Self, SimError> {
         trace
             .validate_for_cpus(cfg.n_cpus)
-            .map_err(SimError::from_trace)?;
+            .map_err(SimError::from)?;
         Self::assemble(cfg, trace, record)
     }
 
@@ -410,7 +410,7 @@ impl<'t> Machine<'t> {
         record: bool,
     ) -> Result<Self, SimError> {
         if trace.n_cpus() != cfg.n_cpus {
-            return Err(SimError::from_trace(
+            return Err(SimError::from(
                 oscache_trace::TraceError::CpuCountMismatch {
                     expected: cfg.n_cpus,
                     actual: trace.n_cpus(),

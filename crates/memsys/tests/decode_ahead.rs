@@ -13,7 +13,7 @@
 use oscache_memsys::{CancelToken, Machine, MachineConfig, SimErrorKind, CANCEL_POLL_STRIDE};
 use oscache_trace::rng::{Rng, SmallRng};
 use oscache_trace::{
-    Addr, ChunkedStream, ChunkedTrace, DataClass, LockId, Mode, StreamBuilder, Trace, TraceMeta,
+    Addr, ChunkedStream, ChunkedTrace, DataClass, LockId, Mode, StreamBuilder, TraceMeta,
 };
 
 const SEEDS: std::ops::Range<u64> = 0..8;
@@ -22,12 +22,12 @@ const SEEDS: std::ops::Range<u64> = 0..8;
 /// operations, mode switches, and idle gaps — the same event vocabulary
 /// as tests/specialize_matrix.rs, so chunk boundaries land inside lock
 /// sections and block-op brackets.
-fn random_trace(rng: &mut SmallRng) -> Trace {
+fn random_trace(rng: &mut SmallRng) -> ChunkedTrace {
     let n_cpus = 4;
     let mut meta = TraceMeta::default();
     let site = meta.code.add_site("da", true);
     let bb = meta.code.add_block(Addr(0x2000), 4, site);
-    let mut t = Trace::new(n_cpus, meta);
+    let mut t = ChunkedTrace::new(n_cpus, meta);
     for cpu in 0..n_cpus {
         let mut b = StreamBuilder::new();
         b.set_mode(Mode::Os);
@@ -80,13 +80,13 @@ fn random_trace(rng: &mut SmallRng) -> Trace {
     t
 }
 
-/// Re-chunks a flat trace at an arbitrary capacity: the default
+/// Re-chunks a trace at an arbitrary capacity: the default
 /// `CHUNK_EVENTS` is far larger than these traces, so small capacities
 /// force many chunk swap-ins per stream.
-fn rechunk(t: &Trace, capacity: usize) -> ChunkedTrace {
+fn rechunk(t: &ChunkedTrace, capacity: usize) -> ChunkedTrace {
     let mut ct = ChunkedTrace::new(t.streams.len(), t.meta.clone());
     for (i, s) in t.streams.iter().enumerate() {
-        ct.streams[i] = ChunkedStream::from_events(s.events().iter().copied(), capacity);
+        ct.streams[i] = ChunkedStream::from_events(s, capacity);
     }
     ct
 }
@@ -205,7 +205,7 @@ fn outcomes(ct: &ChunkedTrace, what: &str) -> [Outcome; 2] {
 
 /// Asserts that `t` replays identically at chunk capacity 1, 5, and one
 /// chunk per stream, on both dispatch tiers.
-fn assert_capacity_invariant(t: &Trace, what: &str) {
+fn assert_capacity_invariant(t: &ChunkedTrace, what: &str) {
     let longest = t.streams.iter().map(|s| s.len()).max().unwrap_or(0);
     let reference = outcomes(&rechunk(t, longest.max(1)), what);
     for capacity in [1, 5] {
@@ -238,11 +238,11 @@ fn random_traces_are_chunk_capacity_invariant() {
 /// have no events at all.
 #[test]
 fn empty_and_partially_empty_streams_are_chunk_capacity_invariant() {
-    let empty = Trace::new(4, TraceMeta::default());
-    assert_eq!(ChunkedTrace::from_trace(&empty).total_events(), 0);
+    let empty = ChunkedTrace::new(4, TraceMeta::default());
+    assert_eq!(empty.total_events(), 0);
     assert_capacity_invariant(&empty, "empty trace");
 
-    let mut partial = Trace::new(4, TraceMeta::default());
+    let mut partial = ChunkedTrace::new(4, TraceMeta::default());
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     for i in 0..300u32 {
@@ -253,13 +253,13 @@ fn empty_and_partially_empty_streams_are_chunk_capacity_invariant() {
 }
 
 /// A single-CPU stream of `n` data reads after the leading mode event.
-fn long_trace(n: u32) -> Trace {
+fn long_trace(n: u32) -> ChunkedTrace {
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     for i in 0..n {
         b.read(Addr(0x0100_0000 + (i % 4096) * 4), DataClass::KernelOther);
     }
-    let mut t = Trace::new(1, TraceMeta::default());
+    let mut t = ChunkedTrace::new(1, TraceMeta::default());
     t.streams[0] = b.finish();
     t
 }

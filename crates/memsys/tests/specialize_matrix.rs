@@ -10,7 +10,7 @@
 
 use oscache_memsys::{CancelToken, Machine, MachineConfig, SimErrorKind, CANCEL_POLL_STRIDE};
 use oscache_trace::rng::{Rng, SmallRng};
-use oscache_trace::{Addr, ChunkedTrace, DataClass, LockId, Mode, StreamBuilder, Trace, TraceMeta};
+use oscache_trace::{Addr, ChunkedTrace, DataClass, LockId, Mode, StreamBuilder, TraceMeta};
 
 const SEEDS: std::ops::Range<u64> = 0..8;
 
@@ -22,7 +22,7 @@ fn random_trace(rng: &mut SmallRng) -> ChunkedTrace {
     let mut meta = TraceMeta::default();
     let site = meta.code.add_site("sm", true);
     let bb = meta.code.add_block(Addr(0x2000), 4, site);
-    let mut t = Trace::new(n_cpus, meta);
+    let mut t = ChunkedTrace::new(n_cpus, meta);
     for cpu in 0..n_cpus {
         let mut b = StreamBuilder::new();
         b.set_mode(Mode::Os);
@@ -75,7 +75,7 @@ fn random_trace(rng: &mut SmallRng) -> ChunkedTrace {
         }
         t.streams[cpu] = b.finish();
     }
-    ChunkedTrace::from_trace(&t)
+    t
 }
 
 /// A configuration whose [`SpecKey`] has exactly the requested features.
@@ -157,9 +157,9 @@ fn long_trace(n: u32) -> ChunkedTrace {
     for i in 0..n {
         b.read(Addr(0x0100_0000 + (i % 4096) * 4), DataClass::KernelOther);
     }
-    let mut t = Trace::new(1, TraceMeta::default());
+    let mut t = ChunkedTrace::new(1, TraceMeta::default());
     t.streams[0] = b.finish();
-    ChunkedTrace::from_trace(&t)
+    t
 }
 
 /// The poll stride is a power of two (the poll site masks with

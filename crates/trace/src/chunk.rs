@@ -24,10 +24,8 @@
 //!   bitwise simulation-equivalence guarantee stands on.
 
 use crate::spill::{FrameRef, MemBudget, SpillStore, SpillTarget};
-use crate::validate::TraceValidator;
 use crate::{
-    Addr, BarrierId, BlockId, BlockKind, BlockOp, DataClass, Event, LockId, Mode, Stream, Trace,
-    TraceError, TraceMeta,
+    Addr, BarrierId, BlockId, BlockKind, BlockOp, DataClass, Event, LockId, Mode, TraceMeta,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -503,11 +501,19 @@ impl Default for ChunkedStreamBuilder {
 }
 
 /// One CPU's reference stream as fixed-capacity encoded chunks.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChunkedStream {
     chunks: Vec<EncodedChunk>,
     len: usize,
     capacity: usize,
+}
+
+/// An empty stream of the default capacity, like [`ChunkedStream::new`]
+/// (a derived default would have capacity zero, which no encoder accepts).
+impl Default for ChunkedStream {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ChunkedStream {
@@ -518,11 +524,6 @@ impl ChunkedStream {
             len: 0,
             capacity: CHUNK_EVENTS,
         }
-    }
-
-    /// Encodes a materialized stream with the default capacity.
-    pub fn from_stream(stream: &Stream) -> Self {
-        Self::from_events(stream.events().iter().copied(), CHUNK_EVENTS)
     }
 
     /// Encodes events from an iterator with an explicit chunk capacity.
@@ -638,15 +639,6 @@ impl ChunkedStream {
             pos: 0,
         }
     }
-
-    /// Decodes the whole stream into a materialized [`Stream`].
-    pub fn to_stream(&self) -> Stream {
-        let mut events = Vec::with_capacity(self.len);
-        for c in &self.chunks {
-            c.decode_into(&mut events);
-        }
-        Stream::from_events(events)
-    }
 }
 
 /// Chunk-at-a-time decoding iterator over a [`ChunkedStream`]'s events.
@@ -695,8 +687,9 @@ impl<'a> IntoIterator for &'a ChunkedStream {
     }
 }
 
-/// A whole trace in chunked form: per-CPU [`ChunkedStream`]s plus the
-/// same shared [`TraceMeta`] a materialized [`Trace`] carries.
+/// A whole multiprocessor trace: one [`ChunkedStream`] per CPU plus the
+/// shared [`TraceMeta`] (code layout, kernel variables, kernel data
+/// ranges) the software optimization passes need.
 #[derive(Clone, Debug, Default)]
 pub struct ChunkedTrace {
     /// Per-CPU chunked reference streams.
@@ -712,27 +705,6 @@ impl ChunkedTrace {
             streams: (0..n_cpus).map(|_| ChunkedStream::new()).collect(),
             meta,
         }
-    }
-
-    /// Encodes a materialized trace (default chunk capacity).
-    pub fn from_trace(trace: &Trace) -> Self {
-        ChunkedTrace {
-            streams: trace
-                .streams
-                .iter()
-                .map(ChunkedStream::from_stream)
-                .collect(),
-            meta: trace.meta.clone(),
-        }
-    }
-
-    /// Decodes into a materialized [`Trace`].
-    pub fn to_trace(&self) -> Trace {
-        let mut t = Trace::new(self.n_cpus(), self.meta.clone());
-        for (cpu, s) in self.streams.iter().enumerate() {
-            t.streams[cpu] = s.to_stream();
-        }
-        t
     }
 
     /// Number of CPU streams.
@@ -766,38 +738,12 @@ impl ChunkedTrace {
             .map(|(cpu, s)| s.spill_residents(store, cpu, budget))
             .sum()
     }
-
-    /// Checks every structural invariant [`Trace::validate`] checks,
-    /// streaming chunk-by-chunk (one decode window per stream).
-    pub fn validate(&self) -> Result<(), TraceError> {
-        let mut v = TraceValidator::new(&self.meta, self.n_cpus())?;
-        for (cpu, stream) in self.streams.iter().enumerate() {
-            let mut st = v.stream_state();
-            for (index, ev) in stream.iter().enumerate() {
-                v.step(&mut st, cpu, index, &ev)?;
-            }
-            v.finish_stream(st, cpu)?;
-        }
-        Ok(())
-    }
-
-    /// Like [`ChunkedTrace::validate`], additionally requiring exactly
-    /// `expected` CPU streams.
-    pub fn validate_for_cpus(&self, expected: usize) -> Result<(), TraceError> {
-        if self.n_cpus() != expected {
-            return Err(TraceError::CpuCountMismatch {
-                expected,
-                actual: self.n_cpus(),
-            });
-        }
-        self.validate()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{StreamBuilder, PAGE_SIZE};
+    use crate::{StreamBuilder, TraceError, PAGE_SIZE};
 
     fn all_kinds() -> Vec<Event> {
         vec![
@@ -867,7 +813,6 @@ mod tests {
             assert_eq!(s.len(), all_kinds().len());
             let back: Vec<Event> = s.iter().collect();
             assert_eq!(back, all_kinds(), "capacity {cap}");
-            assert_eq!(s.to_stream().events(), &all_kinds()[..]);
         }
     }
 
@@ -921,7 +866,6 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.iter().count(), 0);
         assert_eq!(s.n_chunks(), 0);
-        assert!(s.to_stream().is_empty());
     }
 
     #[test]
@@ -952,9 +896,8 @@ mod tests {
             b.read(Addr(0x0100_0000 + k * 4), DataClass::KernelOther);
         }
         b.set_mode(Mode::User);
-        let s = b.finish();
-        let c = ChunkedStream::from_stream(&s);
-        let flat = s.len() * std::mem::size_of::<Event>();
+        let c = b.finish();
+        let flat = c.len() * std::mem::size_of::<Event>();
         assert!(
             c.byte_len() * 3 < flat,
             "encoded {} vs flat {flat}",
@@ -963,11 +906,11 @@ mod tests {
     }
 
     #[test]
-    fn chunked_trace_round_trips_and_validates() {
+    fn chunked_trace_validates() {
         let mut meta = TraceMeta::default();
         let site = meta.code.add_site("p", false);
         let bb = meta.code.add_block(Addr(0x100), 3, site);
-        let mut t = Trace::new(2, meta);
+        let mut c = ChunkedTrace::new(2, meta);
         let mut b = StreamBuilder::new();
         b.set_mode(Mode::Os);
         b.exec(bb);
@@ -975,19 +918,14 @@ mod tests {
         b.read(Addr(0x0100_0000), DataClass::KernelOther);
         b.lock_release(LockId(1), Addr(0x40));
         b.set_mode(Mode::User);
-        t.streams[0] = b.finish();
-        let c = ChunkedTrace::from_trace(&t);
-        assert_eq!(c.total_events(), t.total_events());
+        c.streams[0] = b.finish();
+        assert_eq!(c.total_events(), 6);
         assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.validate_for_cpus(2), Ok(()));
         assert!(matches!(
             c.validate_for_cpus(4),
             Err(TraceError::CpuCountMismatch { .. })
         ));
-        let back = c.to_trace();
-        for cpu in 0..2 {
-            assert_eq!(back.streams[cpu].events(), t.streams[cpu].events());
-        }
     }
 
     fn tiny_budget() -> Arc<MemBudget> {

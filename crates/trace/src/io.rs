@@ -3,8 +3,10 @@
 //! The paper's performance monitor dumps its trace buffers to disk so that
 //! "an unbounded continuous stretch of the workload" can be traced and
 //! re-simulated later (§2.1). This module provides the equivalent: a
-//! line-oriented text format that round-trips a full [`Trace`] — events,
-//! code layout, kernel-variable map, and kernel data ranges.
+//! line-oriented text format that round-trips a full [`ChunkedTrace`] —
+//! events, code layout, kernel-variable map, and kernel data ranges. Both
+//! directions stream: the writer decodes one chunk per CPU at a time and
+//! the reader encodes events into chunks as lines are parsed.
 //!
 //! The format is versioned, deliberately simple, and diff-friendly:
 //!
@@ -26,7 +28,7 @@
 
 use crate::{
     Addr, BarrierId, BlockId, BlockKind, BlockOp, ChunkedStreamBuilder, ChunkedTrace, CodeLayout,
-    DataClass, Event, KernelVar, LockId, Mode, SiteId, Trace, TraceError, TraceMeta, VarRole,
+    DataClass, Event, KernelVar, LockId, Mode, SiteId, TraceError, TraceMeta, VarRole,
 };
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -182,19 +184,25 @@ fn parse_role(s: &str) -> Option<VarRole> {
     })
 }
 
-/// Writes `trace` in the versioned text format.
+/// Writes `trace` in the versioned text format, decoding one chunk per
+/// stream at a time.
 ///
 /// # Examples
 ///
 /// ```
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// use oscache_trace::{read_trace, write_trace, Trace, TraceMeta};
+/// use oscache_trace::{read_trace, write_trace, ChunkedTrace, Mode, StreamBuilder, TraceMeta};
 ///
-/// let trace = Trace::new(4, TraceMeta::default());
+/// let mut trace = ChunkedTrace::new(4, TraceMeta::default());
+/// let mut b = StreamBuilder::new();
+/// b.set_mode(Mode::Os);
+/// b.idle(7);
+/// trace.streams[0] = b.finish();
 /// let mut buf = Vec::new();
 /// write_trace(&trace, &mut buf)?;
 /// let back = read_trace(&buf[..])?;
 /// assert_eq!(back.n_cpus(), 4);
+/// assert_eq!(back.total_events(), 2);
 /// # Ok(())
 /// # }
 /// ```
@@ -202,7 +210,7 @@ fn parse_role(s: &str) -> Option<VarRole> {
 /// # Errors
 ///
 /// Returns any I/O error from the writer.
-pub fn write_trace<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
+pub fn write_trace<W: Write>(trace: &ChunkedTrace, mut w: W) -> io::Result<()> {
     writeln!(w, "oscache-trace 1")?;
     writeln!(w, "workload {}", trace.meta.workload)?;
     writeln!(w, "cpus {}", trace.n_cpus())?;
@@ -236,8 +244,8 @@ pub fn write_trace<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
     }
     for (cpu, stream) in trace.streams.iter().enumerate() {
         writeln!(w, "stream {cpu}")?;
-        for e in stream.events() {
-            match *e {
+        for e in stream {
+            match e {
                 Event::Exec { block } => writeln!(w, "E {}", block.0)?,
                 Event::Read { addr, class } => writeln!(w, "R {:x} {}", addr.0, class_name(class))?,
                 Event::Write { addr, class } => {
@@ -305,23 +313,6 @@ impl Parser {
 
 /// Reads a trace previously written by [`write_trace`].
 ///
-/// Decoding goes through [`read_trace_chunked`] and materializes at the
-/// end; callers that keep the trace chunked should use that function
-/// directly and skip the materialization entirely.
-///
-/// # Errors
-///
-/// Returns [`ReadTraceError::Parse`] when the input deviates from the
-/// format (wrong magic, unknown event letter, missing fields, a `cpus`
-/// count above [`MAX_DUMP_CPUS`], more than 65,536 `site` lines),
-/// [`ReadTraceError::Truncated`] when the input ends before the trailing
-/// `end` marker, and [`ReadTraceError::Io`] on reader failures.
-pub fn read_trace<R: BufRead>(r: R) -> Result<Trace, ReadTraceError> {
-    Ok(read_trace_chunked(r)?.to_trace())
-}
-
-/// Reads a trace dump directly into the chunked columnar representation.
-///
 /// Events decode straight into per-CPU [`ChunkedStreamBuilder`]s as lines
 /// are parsed — no intermediate per-CPU `Vec<Event>` of the whole trace
 /// ever exists, so peak memory while loading a dump is the finished
@@ -329,8 +320,14 @@ pub fn read_trace<R: BufRead>(r: R) -> Result<Trace, ReadTraceError> {
 ///
 /// # Errors
 ///
-/// Same as [`read_trace`].
-pub fn read_trace_chunked<R: BufRead>(r: R) -> Result<ChunkedTrace, ReadTraceError> {
+/// Returns [`ReadTraceError::Parse`] when the input deviates from the
+/// format (wrong magic, unknown event letter, missing fields, a `cpus`
+/// count above [`MAX_DUMP_CPUS`], more than 65,536 `site` lines),
+/// [`ReadTraceError::Truncated`] when the input ends before the trailing
+/// `end` marker, [`ReadTraceError::Invalid`] when the parsed trace fails
+/// [`ChunkedTrace::validate`], and [`ReadTraceError::Io`] on reader
+/// failures.
+pub fn read_trace<R: BufRead>(r: R) -> Result<ChunkedTrace, ReadTraceError> {
     let mut p = Parser { line_no: 0 };
     let mut lines = r.lines();
     let mut next = |p: &mut Parser| -> Result<Option<String>, ReadTraceError> {
@@ -550,7 +547,7 @@ mod tests {
     use super::*;
     use crate::StreamBuilder;
 
-    fn sample() -> Trace {
+    fn sample() -> ChunkedTrace {
         let mut meta = TraceMeta::default();
         let site = meta.code.add_site("seq", false);
         let lsite = meta.code.add_site("loop", true);
@@ -565,7 +562,7 @@ mod tests {
             false_shared_group: Some(3),
         });
         meta.kernel_data.push((Addr(0x0100_0000), 0x4000));
-        let mut t = Trace::new(2, meta);
+        let mut t = ChunkedTrace::new(2, meta);
         let mut b = StreamBuilder::new();
         b.set_mode(Mode::Os);
         b.exec(bb);
@@ -611,8 +608,43 @@ mod tests {
         assert_eq!(back.meta.code.block_count(), t.meta.code.block_count());
         assert_eq!(back.meta.code.site_count(), t.meta.code.site_count());
         for cpu in 0..2 {
-            assert_eq!(back.streams[cpu].events(), t.streams[cpu].events());
+            assert_eq!(back.streams[cpu], t.streams[cpu]);
         }
+    }
+
+    #[test]
+    fn dump_text_format_is_pinned() {
+        let mut buf = Vec::new();
+        write_trace(&sample(), &mut buf).unwrap();
+        let expected = "oscache-trace 1
+workload \n\
+cpus 2
+site seq seq
+site loop loop
+block 1000 8 0
+block 2000 4 1
+var 1000000 4 InfreqCounter counter 3 vmmeter.v_intr
+range 1000000 4000
+stream 0
+M os
+E 0
+R 1000000 InfreqCounter
+LA 2 1000300
+W 1000004 FreqShared
+LR 2 1000300
+B 1 1000340 2
+OB 10000000 11000000 40 copy PageFrame UserData
+R 10000000 PageFrame
+W 11000000 UserData
+OE
+P 1000010 SyscallTable
+I 42
+stream 1
+M os
+B 1 1000340 2
+end
+";
+        assert_eq!(String::from_utf8(buf).unwrap(), expected);
     }
 
     #[test]
@@ -655,21 +687,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_read_matches_materialized_read() {
-        let t = sample();
-        let mut buf = Vec::new();
-        write_trace(&t, &mut buf).unwrap();
-        let chunked = read_trace_chunked(&buf[..]).unwrap();
-        let flat = read_trace(&buf[..]).unwrap();
-        assert_eq!(chunked.n_cpus(), flat.n_cpus());
-        assert_eq!(chunked.total_events(), flat.total_events());
-        for cpu in 0..flat.n_cpus() {
-            let decoded: Vec<Event> = chunked.streams[cpu].iter().collect();
-            assert_eq!(decoded.as_slice(), flat.streams[cpu].events());
-        }
-    }
-
-    #[test]
     fn rejects_duplicate_stream() {
         let input = b"oscache-trace 1\nworkload x\ncpus 2\nstream 0\nI 5\nstream 0\nend\n";
         let err = read_trace(&input[..]).unwrap_err();
@@ -689,7 +706,7 @@ mod tests {
     #[test]
     fn rejects_cpu_count_above_the_cap_before_allocating() {
         let input = b"oscache-trace 1\nworkload x\ncpus 1000000000\nend\n";
-        match read_trace_chunked(&input[..]) {
+        match read_trace(&input[..]) {
             Err(ReadTraceError::Parse { line: 3, msg }) => {
                 assert!(msg.contains("exceeds the limit of 256"), "{msg}")
             }
@@ -697,7 +714,7 @@ mod tests {
         }
         let at_cap = format!("oscache-trace 1\nworkload x\ncpus {MAX_DUMP_CPUS}\nend\n");
         assert!(!matches!(
-            read_trace_chunked(at_cap.as_bytes()),
+            read_trace(at_cap.as_bytes()),
             Err(ReadTraceError::Parse { .. })
         ));
     }
@@ -713,14 +730,14 @@ mod tests {
             s.push_str("end\n");
             s
         };
-        match read_trace_chunked(sites(MAX_DUMP_SITES + 1).as_bytes()) {
+        match read_trace(sites(MAX_DUMP_SITES + 1).as_bytes()) {
             Err(ReadTraceError::Parse { line, msg }) => {
                 assert_eq!(line, 3 + MAX_DUMP_SITES + 1, "{msg}");
                 assert!(msg.contains("more than 65536 `site`"), "{msg}");
             }
             other => panic!("expected a parse error, got {other:?}"),
         }
-        let at_cap = read_trace_chunked(sites(MAX_DUMP_SITES).as_bytes()).unwrap();
+        let at_cap = read_trace(sites(MAX_DUMP_SITES).as_bytes()).unwrap();
         assert_eq!(at_cap.meta.code.site_count(), MAX_DUMP_SITES);
     }
 

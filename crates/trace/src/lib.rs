@@ -18,21 +18,26 @@
 //!   its basic-block instrumentation (§2.2).
 //! * [`CodeLayout`] — basic blocks with instruction addresses, so the
 //!   simulator can replay instruction fetches against the L1 I-cache.
-//! * [`Trace`] — one [`Stream`] per CPU plus the metadata (code layout,
-//!   kernel variable map, synchronization objects) the software optimization
-//!   passes need.
+//! * [`ChunkedTrace`] — one [`ChunkedStream`] per CPU plus the metadata
+//!   (code layout, kernel variable map, kernel data ranges) the software
+//!   optimization passes need. Streams are stored as compact,
+//!   independently decodable chunks, so every consumer works from a
+//!   decode window of one chunk rather than the whole event sequence.
 //!
 //! # Example
 //!
 //! ```
-//! use oscache_trace::{Addr, DataClass, Mode, StreamBuilder};
+//! use oscache_trace::{Addr, ChunkedTrace, DataClass, Mode, StreamBuilder, TraceMeta};
 //!
 //! let mut b = StreamBuilder::new();
 //! b.set_mode(Mode::Os);
 //! b.read(Addr(0x0100_0000), DataClass::RunQueue);
 //! b.write(Addr(0x0100_0040), DataClass::InfreqCounter);
-//! let stream = b.finish();
-//! assert_eq!(stream.events().len(), 3); // mode switch + read + write
+//! let mut trace = ChunkedTrace::new(4, TraceMeta::default());
+//! trace.streams[0] = b.finish();
+//! assert_eq!(trace.total_events(), 3); // mode switch + read + write
+//! assert!(trace.streams[0].iter().nth(1).unwrap().is_read());
+//! assert_eq!(trace.validate(), Ok(()));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -44,10 +49,10 @@ mod class;
 mod code;
 mod event;
 pub mod io;
+mod meta;
 pub mod rng;
 pub mod spill;
 mod stream;
-mod trace;
 mod validate;
 
 pub use addr::{Addr, CpuId, LineAddr, PAGE_SIZE, WORD_SIZE};
@@ -55,11 +60,11 @@ pub use chunk::{ChunkedStream, ChunkedStreamBuilder, ChunkedTrace, CHUNK_EVENTS}
 pub use class::{CoherenceCategory, DataClass};
 pub use code::{BasicBlock, BlockId, CodeLayout, SiteId, SiteInfo};
 pub use event::{BarrierId, BlockKind, BlockOp, Event, LockId, Mode};
-pub use io::{read_trace, read_trace_chunked, write_trace, ReadTraceError, MAX_DUMP_CPUS};
+pub use io::{read_trace, write_trace, ReadTraceError, MAX_DUMP_CPUS};
+pub use meta::{KernelVar, TraceMeta, VarRole};
 pub use spill::{
-    spill_enabled, IoFaultClass, IoFaultPlan, MemBudget, SpillError, SpillErrorKind, SpillStore,
-    SpillTarget, StoreIdentity,
+    IoFaultClass, IoFaultPlan, MemBudget, SpillError, SpillErrorKind, SpillStore, SpillTarget,
+    StoreIdentity,
 };
-pub use stream::{Stream, StreamBuilder};
-pub use trace::{KernelVar, Trace, TraceMeta, VarRole};
+pub use stream::StreamBuilder;
 pub use validate::TraceError;

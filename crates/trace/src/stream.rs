@@ -1,84 +1,14 @@
-//! Per-CPU event streams and their builder.
+//! The per-CPU stream builder.
 
 use crate::chunk::{ChunkedStream, ChunkedStreamBuilder};
+use crate::spill::SpillTarget;
 use crate::{Addr, BarrierId, BlockId, BlockOp, DataClass, Event, LockId, Mode};
 
-/// The ordered sequence of [`Event`]s one processor issues.
-#[derive(Clone, Debug, Default)]
-pub struct Stream {
-    events: Vec<Event>,
-}
-
-impl Stream {
-    /// Creates an empty stream.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Wraps an event vector. Prefer [`StreamBuilder`] for construction with
-    /// bracket/mode checking.
-    pub fn from_events(events: Vec<Event>) -> Self {
-        Stream { events }
-    }
-
-    /// The events in issue order.
-    #[inline]
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
-    /// Consumes the stream, returning its events (for rewriting passes).
-    pub fn into_events(self) -> Vec<Event> {
-        self.events
-    }
-
-    /// Number of events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True if the stream holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Number of scalar data reads (the unit of the paper's miss counts:
-    /// "miss rates and misses refer to reads only", §3).
-    pub fn read_count(&self) -> usize {
-        self.events.iter().filter(|e| e.is_read()).count()
-    }
-
-    /// Number of scalar data writes.
-    pub fn write_count(&self) -> usize {
-        self.events.iter().filter(|e| e.is_write()).count()
-    }
-}
-
-impl FromIterator<Event> for Stream {
-    fn from_iter<T: IntoIterator<Item = Event>>(iter: T) -> Self {
-        Stream {
-            events: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl Extend<Event> for Stream {
-    fn extend<T: IntoIterator<Item = Event>>(&mut self, iter: T) {
-        self.events.extend(iter);
-    }
-}
-
-impl<'a> IntoIterator for &'a Stream {
-    type Item = &'a Event;
-    type IntoIter = std::slice::Iter<'a, Event>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.events.iter()
-    }
-}
-
-/// Incremental [`Stream`] constructor that enforces structural invariants:
-/// block-operation brackets balance and do not nest, lock acquire/release
-/// pair up per lock, and redundant mode switches are elided.
+/// Incremental [`ChunkedStream`] constructor that enforces structural
+/// invariants: block-operation brackets balance and do not nest, lock
+/// acquire/release pair up per lock, and redundant mode switches are
+/// elided. Events are encoded as they arrive, so the builder never holds
+/// more than one chunk of decoded events.
 ///
 /// # Example
 ///
@@ -93,39 +23,14 @@ impl<'a> IntoIterator for &'a Stream {
 /// b.write(Addr(0x2000), DataClass::PageFrame);
 /// b.end_block_op();
 /// let s = b.finish();
-/// assert_eq!(s.read_count(), 1);
+/// assert_eq!(s.iter().filter(|e| e.is_read()).count(), 1);
 /// ```
 #[derive(Debug)]
 pub struct StreamBuilder {
-    sink: Sink,
+    encoder: ChunkedStreamBuilder,
     mode: Mode,
     in_block_op: bool,
     held_locks: Vec<LockId>,
-}
-
-/// Where a [`StreamBuilder`] accumulates events: the historical flat
-/// vector, or a chunk encoder that seals fixed-capacity chunks as they
-/// fill so the builder never holds more than one chunk of decoded events.
-#[derive(Debug)]
-enum Sink {
-    Flat(Vec<Event>),
-    Chunked(ChunkedStreamBuilder),
-}
-
-impl Sink {
-    fn push(&mut self, e: Event) {
-        match self {
-            Sink::Flat(v) => v.push(e),
-            Sink::Chunked(b) => b.push(e),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Sink::Flat(v) => v.len(),
-            Sink::Chunked(b) => b.len(),
-        }
-    }
 }
 
 impl Default for StreamBuilder {
@@ -137,34 +42,20 @@ impl Default for StreamBuilder {
 impl StreamBuilder {
     /// Creates a builder; the initial mode is [`Mode::User`].
     pub fn new() -> Self {
-        StreamBuilder {
-            sink: Sink::Flat(Vec::new()),
-            mode: Mode::default(),
-            in_block_op: false,
-            held_locks: Vec::new(),
-        }
+        Self::with_encoder(ChunkedStreamBuilder::new())
     }
 
-    /// Creates a builder that encodes straight into chunks (finish with
-    /// [`StreamBuilder::finish_chunked`]). Event-for-event identical to a
-    /// flat build: both sinks receive the same pushes, so a chunked build
-    /// decoded back equals the flat build of the same calls.
-    pub fn new_chunked() -> Self {
-        StreamBuilder {
-            sink: Sink::Chunked(ChunkedStreamBuilder::new()),
-            mode: Mode::default(),
-            in_block_op: false,
-            held_locks: Vec::new(),
-        }
-    }
-
-    /// [`StreamBuilder::new_chunked`] with a spill target: sealed chunks
-    /// the target's budget refuses to keep resident are written to its
+    /// [`StreamBuilder::new`] with a spill target: sealed chunks the
+    /// target's budget refuses to keep resident are written to its
     /// segment as the stream is built. The produced events are identical;
     /// only where the encoded bytes live differs.
-    pub fn new_chunked_spilling(target: crate::spill::SpillTarget) -> Self {
+    pub fn with_spill(target: SpillTarget) -> Self {
+        Self::with_encoder(ChunkedStreamBuilder::with_spill(target))
+    }
+
+    fn with_encoder(encoder: ChunkedStreamBuilder) -> Self {
         StreamBuilder {
-            sink: Sink::Chunked(ChunkedStreamBuilder::with_spill(target)),
+            encoder,
             mode: Mode::default(),
             in_block_op: false,
             held_locks: Vec::new(),
@@ -178,35 +69,35 @@ impl StreamBuilder {
 
     /// Number of events recorded so far.
     pub fn len(&self) -> usize {
-        self.sink.len()
+        self.encoder.len()
     }
 
     /// True if no events are recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.sink.len() == 0
+        self.encoder.is_empty()
     }
 
     /// Appends a mode switch if `mode` differs from the current mode.
     pub fn set_mode(&mut self, mode: Mode) {
         if self.mode != mode {
             self.mode = mode;
-            self.sink.push(Event::SetMode { mode });
+            self.encoder.push(Event::SetMode { mode });
         }
     }
 
     /// Appends a basic-block execution.
     pub fn exec(&mut self, block: BlockId) {
-        self.sink.push(Event::Exec { block });
+        self.encoder.push(Event::Exec { block });
     }
 
     /// Appends a scalar read.
     pub fn read(&mut self, addr: Addr, class: DataClass) {
-        self.sink.push(Event::Read { addr, class });
+        self.encoder.push(Event::Read { addr, class });
     }
 
     /// Appends a scalar write.
     pub fn write(&mut self, addr: Addr, class: DataClass) {
-        self.sink.push(Event::Write { addr, class });
+        self.encoder.push(Event::Write { addr, class });
     }
 
     /// Appends a read-modify-write (e.g. a counter increment).
@@ -218,7 +109,7 @@ impl StreamBuilder {
     /// Appends a software prefetch (normally inserted by the optimization
     /// passes, but exposed for hand-built traces and tests).
     pub fn prefetch(&mut self, addr: Addr, class: DataClass) {
-        self.sink.push(Event::Prefetch { addr, class });
+        self.encoder.push(Event::Prefetch { addr, class });
     }
 
     /// Appends a lock acquisition.
@@ -232,7 +123,7 @@ impl StreamBuilder {
             "lock {lock:?} acquired while already held"
         );
         self.held_locks.push(lock);
-        self.sink.push(Event::LockAcquire { lock, addr });
+        self.encoder.push(Event::LockAcquire { lock, addr });
     }
 
     /// Appends a lock release.
@@ -247,12 +138,12 @@ impl StreamBuilder {
             .position(|&l| l == lock)
             .unwrap_or_else(|| panic!("lock {lock:?} released while not held"));
         self.held_locks.remove(pos);
-        self.sink.push(Event::LockRelease { lock, addr });
+        self.encoder.push(Event::LockRelease { lock, addr });
     }
 
     /// Appends a barrier arrival.
     pub fn barrier(&mut self, barrier: BarrierId, addr: Addr, participants: u8) {
-        self.sink.push(Event::Barrier {
+        self.encoder.push(Event::Barrier {
             barrier,
             addr,
             participants,
@@ -307,7 +198,7 @@ impl StreamBuilder {
         assert!(!self.in_block_op, "block operations do not nest");
         assert!(op.len > 0, "zero-length block operation");
         self.in_block_op = true;
-        self.sink.push(Event::BlockOpBegin { op });
+        self.encoder.push(Event::BlockOpBegin { op });
     }
 
     /// Closes the open block-operation bracket.
@@ -318,7 +209,7 @@ impl StreamBuilder {
     pub fn end_block_op(&mut self) {
         assert!(self.in_block_op, "no open block operation");
         self.in_block_op = false;
-        self.sink.push(Event::BlockOpEnd);
+        self.encoder.push(Event::BlockOpEnd);
     }
 
     /// True while inside a block-operation bracket.
@@ -329,7 +220,7 @@ impl StreamBuilder {
     /// Appends idle time.
     pub fn idle(&mut self, cycles: u32) {
         if cycles > 0 {
-            self.sink.push(Event::Idle { cycles });
+            self.encoder.push(Event::Idle { cycles });
         }
     }
 
@@ -338,33 +229,14 @@ impl StreamBuilder {
     /// # Panics
     ///
     /// Panics if a block operation is still open or any lock is still held.
-    pub fn finish(self) -> Stream {
-        self.check_finished();
-        match self.sink {
-            Sink::Flat(events) => Stream { events },
-            // A chunked builder can still finalize flat (decode); rare, but
-            // keeps the two constructors drop-in interchangeable.
-            Sink::Chunked(b) => b.finish().to_stream(),
-        }
-    }
-
-    /// Finalizes as a [`ChunkedStream`] (the streaming counterpart of
-    /// [`StreamBuilder::finish`], same invariant checks and panics).
-    pub fn finish_chunked(self) -> ChunkedStream {
-        self.check_finished();
-        match self.sink {
-            Sink::Flat(events) => ChunkedStream::from_events(events, crate::CHUNK_EVENTS),
-            Sink::Chunked(b) => b.finish(),
-        }
-    }
-
-    fn check_finished(&self) {
+    pub fn finish(self) -> ChunkedStream {
         assert!(!self.in_block_op, "unterminated block operation");
         assert!(
             self.held_locks.is_empty(),
             "locks still held at end of stream: {:?}",
             self.held_locks
         );
+        self.encoder.finish()
     }
 }
 
@@ -388,11 +260,10 @@ mod tests {
     fn rmw_is_read_then_write() {
         let mut b = StreamBuilder::new();
         b.rmw(Addr(4), DataClass::InfreqCounter);
-        let s = b.finish();
-        assert!(s.events()[0].is_read());
-        assert!(s.events()[1].is_write());
-        assert_eq!(s.read_count(), 1);
-        assert_eq!(s.write_count(), 1);
+        let s: Vec<Event> = b.finish().iter().collect();
+        assert_eq!(s.len(), 2);
+        assert!(s[0].is_read());
+        assert!(s[1].is_write());
     }
 
     #[test]
@@ -440,66 +311,12 @@ mod tests {
         b.begin_block_zero(Addr(0x3000), 128, DataClass::PageFrame);
         b.end_block_op();
         let s = b.finish();
-        match s.events()[0] {
+        match s.iter().next().unwrap() {
             Event::BlockOpBegin { op } => {
                 assert_eq!(op.kind, BlockKind::Zero);
                 assert_eq!(op.src, op.dst);
             }
-            ref other => panic!("unexpected event {other:?}"),
+            other => panic!("unexpected event {other:?}"),
         }
-    }
-
-    #[test]
-    fn chunked_builder_matches_flat_builder() {
-        // A named fn, not a closure: with rustc 1.95.0 at opt-level >= 2 the
-        // closure form of this helper — one closure passing StreamBuilder by
-        // value, called with both Sink variants — miscompiles into a double
-        // free (SIGABRT) in the release test binary. Single-call closures and
-        // this named fn compile correctly; debug builds are unaffected.
-        fn drive(mut b: StreamBuilder) -> StreamBuilder {
-            b.set_mode(Mode::Os);
-            b.lock_acquire(LockId(2), Addr(0x80));
-            b.rmw(Addr(0x0100_0000), DataClass::InfreqCounter);
-            b.lock_release(LockId(2), Addr(0x80));
-            b.begin_block_zero(Addr(0x3000), 128, DataClass::PageFrame);
-            b.write(Addr(0x3000), DataClass::PageFrame);
-            b.end_block_op();
-            b.idle(9);
-            b.set_mode(Mode::User);
-            b
-        }
-        let flat = drive(StreamBuilder::new()).finish();
-        let chunked = drive(StreamBuilder::new_chunked()).finish_chunked();
-        assert_eq!(chunked.len(), flat.len());
-        let back: Vec<Event> = chunked.iter().collect();
-        assert_eq!(back, flat.events());
-        // Both finishers work from either sink.
-        let cross = drive(StreamBuilder::new_chunked()).finish();
-        assert_eq!(cross.events(), flat.events());
-        let cross: Vec<Event> = drive(StreamBuilder::new())
-            .finish_chunked()
-            .iter()
-            .collect();
-        assert_eq!(cross, flat.events());
-    }
-
-    #[test]
-    #[should_panic(expected = "locks still held")]
-    fn finish_chunked_with_held_lock_panics() {
-        let mut b = StreamBuilder::new_chunked();
-        b.lock_acquire(LockId(1), Addr(64));
-        let _ = b.finish_chunked();
-    }
-
-    #[test]
-    fn stream_collects_from_iterator() {
-        let s: Stream = vec![Event::Idle { cycles: 3 }, Event::BlockOpEnd]
-            .into_iter()
-            .collect();
-        assert_eq!(s.len(), 2);
-        let mut s2 = Stream::new();
-        s2.extend([Event::Idle { cycles: 1 }]);
-        assert_eq!(s2.len(), 1);
-        assert!(!s2.is_empty());
     }
 }

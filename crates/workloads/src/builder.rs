@@ -1,18 +1,20 @@
 //! The four workloads of the paper (§2.3), composed from kernel services
 //! and user-program models.
 //!
-//! Each builder produces a 4-CPU [`Trace`] whose structure is calibrated
-//! against the paper's measurements: execution-time split (Table 1), miss
-//! breakdown (Table 2), block-operation characteristics and size mix
-//! (Table 3), and coherence-miss breakdown (Table 5). Generation is
-//! deterministic for a given seed and scale.
+//! Each builder produces a 4-CPU [`ChunkedTrace`] whose structure is
+//! calibrated against the paper's measurements: execution-time split
+//! (Table 1), miss breakdown (Table 2), block-operation characteristics
+//! and size mix (Table 3), and coherence-miss breakdown (Table 5).
+//! Generation is deterministic for a given seed and scale.
 
 use crate::user::{UserProc, UserPrograms};
 use oscache_kernel::{Fill, Kernel, N_BARRIERS, N_BUFFERS, N_FRAMES};
 use oscache_trace::rng::{Rng, SmallRng};
 use oscache_trace::{
-    BarrierId, ChunkedTrace, CodeLayout, DataClass, Mode, StreamBuilder, Trace, TraceMeta,
+    BarrierId, ChunkedTrace, CodeLayout, DataClass, MemBudget, Mode, SpillStore, SpillTarget,
+    StreamBuilder, TraceMeta,
 };
+use std::sync::Arc;
 
 /// Number of CPUs in every workload (the traced machine has 4).
 pub const N_CPUS: usize = 4;
@@ -248,63 +250,35 @@ impl Workload {
 }
 
 /// Builds one of the paper's workload traces.
-pub fn build(workload: Workload, opts: BuildOptions) -> Trace {
-    Builder::new(workload, rates(workload), opts, false).run()
+///
+/// Each per-CPU stream is sealed into fixed-size delta-encoded chunks as
+/// the generator emits events, so the peak decoded footprint during
+/// generation is one chunk per CPU. Deterministic per [`TraceBuildKey`].
+pub fn build(workload: Workload, opts: BuildOptions) -> ChunkedTrace {
+    Builder::new(workload, rates(workload), opts).run()
 }
 
-/// Builds the same trace [`build`] would, but encoded straight into the
-/// chunked representation: each per-CPU stream is sealed into fixed-size
-/// delta-encoded chunks as the generator emits events, so the peak decoded
-/// footprint during generation is one chunk per CPU instead of the whole
-/// event vector. Deterministic per [`TraceBuildKey`], exactly like the
-/// materialized build — decoding the result yields `build(workload, opts)`
-/// event for event (pinned by the `chunked_build_decodes_to_flat_build`
-/// test).
-pub fn build_chunked(workload: Workload, opts: BuildOptions) -> ChunkedTrace {
-    Builder::new(workload, rates(workload), opts, true).run_chunked()
-}
-
-/// [`build_chunked`] under a memory budget: each per-CPU stream seals its
-/// chunks straight into `store`'s segment for that CPU whenever `budget`
-/// refuses to keep them resident, so the build's peak memory is O(chunk)
-/// even when the encoded trace exceeds the budget. The produced trace
-/// decodes event-for-event identical to [`build_chunked`] — only where
-/// the encoded bytes live differs (the spill oracle pins this).
-pub fn build_chunked_spilled(
+/// [`build`] under a memory budget: each per-CPU stream seals its chunks
+/// straight into `store`'s segment for that CPU whenever `budget` refuses
+/// to keep them resident, so the build's peak memory is O(chunk) even
+/// when the encoded trace exceeds the budget. The produced trace decodes
+/// event-for-event identical to [`build`] — only where the encoded bytes
+/// live differs (the spill oracle pins this).
+pub fn build_spilled(
     workload: Workload,
     opts: BuildOptions,
-    store: &std::sync::Arc<oscache_trace::SpillStore>,
-    budget: &std::sync::Arc<oscache_trace::MemBudget>,
+    store: &Arc<SpillStore>,
+    budget: &Arc<MemBudget>,
 ) -> ChunkedTrace {
-    let mut b = Builder::new(workload, rates(workload), opts, true);
+    let mut b = Builder::new(workload, rates(workload), opts);
     for (cpu, s) in b.streams.iter_mut().enumerate() {
-        *s = spilling_stream(cpu, store, budget);
+        *s = StreamBuilder::with_spill(SpillTarget {
+            store: store.clone(),
+            cpu,
+            budget: budget.clone(),
+        });
     }
-    b.run_chunked()
-}
-
-/// A fresh spilling stream builder with the initial `Mode::User` switch
-/// the generator expects (matching `Builder::new`'s stream setup).
-fn spilling_stream(
-    cpu: usize,
-    store: &std::sync::Arc<oscache_trace::SpillStore>,
-    budget: &std::sync::Arc<oscache_trace::MemBudget>,
-) -> StreamBuilder {
-    let mut s = StreamBuilder::new_chunked_spilling(oscache_trace::SpillTarget {
-        store: store.clone(),
-        cpu,
-        budget: budget.clone(),
-    });
-    s.set_mode(Mode::User);
-    s
-}
-
-/// [`build_chunked`] behind an [`std::sync::Arc`] for the trace cache.
-pub fn build_chunked_shared(
-    workload: Workload,
-    opts: BuildOptions,
-) -> std::sync::Arc<ChunkedTrace> {
-    std::sync::Arc::new(build_chunked(workload, opts))
+    b.run()
 }
 
 /// The identity of a calibrated trace build: two equal keys always denote
@@ -369,15 +343,16 @@ impl TraceBuildKey {
 ///     BuildOptions { scale: 0.05, ..Default::default() },
 /// );
 /// assert_eq!(trace.meta.workload, "Shell/2x-syscalls");
+/// assert_eq!(trace.n_cpus(), 4);
 /// ```
 ///
 /// # Panics
 ///
 /// Panics if `opts.scale <= 0`, `mix.segments < 2`, or `opts.n_cpus` is
 /// outside `1..=8`.
-pub fn build_with_mix(name: &str, base: Workload, mix: Mix, opts: BuildOptions) -> Trace {
+pub fn build_with_mix(name: &str, base: Workload, mix: Mix, opts: BuildOptions) -> ChunkedTrace {
     assert!(mix.segments >= 2, "need at least two segments per round");
-    let mut trace = Builder::new(base, mix, opts, false).run();
+    let mut trace = Builder::new(base, mix, opts).run();
     trace.meta.workload = name.to_string();
     trace
 }
@@ -403,7 +378,7 @@ struct Builder {
 }
 
 impl Builder {
-    fn new(workload: Workload, r: Mix, opts: BuildOptions, chunked: bool) -> Self {
+    fn new(workload: Workload, r: Mix, opts: BuildOptions) -> Self {
         assert!(opts.scale > 0.0, "scale must be positive");
         let n_cpus = opts.n_cpus;
         let mut code = CodeLayout::new();
@@ -415,18 +390,7 @@ impl Builder {
         let procs = (0..n_cpus)
             .map(|c| UserProc::new(&kernel, 4 + c as u32))
             .collect();
-        let mut streams: Vec<StreamBuilder> = (0..n_cpus)
-            .map(|_| {
-                if chunked {
-                    StreamBuilder::new_chunked()
-                } else {
-                    StreamBuilder::new()
-                }
-            })
-            .collect();
-        for s in &mut streams {
-            s.set_mode(Mode::User);
-        }
+        let streams = (0..n_cpus).map(|_| StreamBuilder::new()).collect();
         Builder {
             workload,
             n_cpus,
@@ -858,26 +822,14 @@ impl Builder {
         }
     }
 
-    fn run(mut self) -> Trace {
-        for r in 0..self.rounds {
-            self.round(r);
-        }
-        let meta = self.take_meta();
-        let mut trace = Trace::new(self.n_cpus, meta);
-        for (k, s) in self.streams.into_iter().enumerate() {
-            trace.streams[k] = s.finish();
-        }
-        trace
-    }
-
-    fn run_chunked(mut self) -> ChunkedTrace {
+    fn run(mut self) -> ChunkedTrace {
         for r in 0..self.rounds {
             self.round(r);
         }
         let meta = self.take_meta();
         let mut trace = ChunkedTrace::new(self.n_cpus, meta);
         for (k, s) in self.streams.into_iter().enumerate() {
-            trace.streams[k] = s.finish_chunked();
+            trace.streams[k] = s.finish();
         }
         trace
     }
@@ -888,7 +840,7 @@ mod tests {
     use super::*;
     use oscache_trace::Event;
 
-    fn small(w: Workload) -> Trace {
+    fn small(w: Workload) -> ChunkedTrace {
         build(
             w,
             BuildOptions {
@@ -923,7 +875,7 @@ mod tests {
             key,
             "TraceBuildKey::options must invert key"
         );
-        let inline = build_chunked(w, opts);
+        let inline = build(w, opts);
         let store = oscache_trace::SpillStore::create(
             "workload-spill-test",
             oscache_trace::StoreIdentity {
@@ -936,7 +888,7 @@ mod tests {
         )
         .expect("spill store");
         let budget = oscache_trace::MemBudget::new_mb(0);
-        let spilled = build_chunked_spilled(w, opts, &store, &budget);
+        let spilled = build_spilled(w, opts, &store, &budget);
         assert!(spilled.spilled_chunks() > 0, "nothing spilled at 0 budget");
         assert_eq!(spilled.total_events(), inline.total_events());
         for cpu in 0..opts.n_cpus {
@@ -946,35 +898,12 @@ mod tests {
     }
 
     #[test]
-    fn chunked_build_decodes_to_flat_build() {
-        for w in Workload::all() {
-            let opts = BuildOptions {
-                scale: 0.05,
-                seed: 1,
-                ..Default::default()
-            };
-            let flat = build(w, opts);
-            let chunked = build_chunked(w, opts);
-            assert_eq!(chunked.n_cpus(), flat.n_cpus());
-            assert_eq!(chunked.total_events(), flat.total_events());
-            assert_eq!(chunked.meta.workload, flat.meta.workload);
-            assert_eq!(chunked.meta.vars.len(), flat.meta.vars.len());
-            assert_eq!(chunked.meta.kernel_data, flat.meta.kernel_data);
-            for cpu in 0..flat.n_cpus() {
-                let decoded: Vec<Event> = chunked.streams[cpu].iter().collect();
-                assert_eq!(decoded, flat.streams[cpu].events(), "{w} cpu {cpu}");
-            }
-            assert_eq!(chunked.validate(), Ok(()));
-        }
-    }
-
-    #[test]
     fn builds_are_deterministic() {
         let a = small(Workload::Shell);
         let b = small(Workload::Shell);
         assert_eq!(a.total_events(), b.total_events());
         for cpu in 0..4 {
-            assert_eq!(a.streams[cpu].events(), b.streams[cpu].events());
+            assert_eq!(a.streams[cpu], b.streams[cpu]);
         }
     }
 
@@ -986,8 +915,7 @@ mod tests {
                 .streams
                 .iter()
                 .map(|s| {
-                    s.events()
-                        .iter()
+                    s.iter()
                         .filter(|e| matches!(e, Event::Barrier { .. }))
                         .count()
                 })
@@ -1012,7 +940,7 @@ mod tests {
         let mut page = 0u32;
         let mut other = 0u32;
         for s in &t.streams {
-            for e in s.events() {
+            for e in s {
                 if let Event::BlockOpBegin { op } = e {
                     if op.is_page_sized() {
                         page += 1;
@@ -1038,7 +966,7 @@ mod tests {
         let mut small_ops = 0u32;
         let mut total = 0u32;
         for s in &t.streams {
-            for e in s.events() {
+            for e in s {
                 if let Event::BlockOpBegin { op } = e {
                     total += 1;
                     if op.len < 1024 {
@@ -1076,11 +1004,9 @@ mod tests {
         let t = small(Workload::TrfdMake);
         for s in &t.streams {
             let os = s
-                .events()
                 .iter()
                 .any(|e| matches!(e, Event::SetMode { mode: Mode::Os }));
             let user = s
-                .events()
                 .iter()
                 .any(|e| matches!(e, Event::SetMode { mode: Mode::User }));
             assert!(os && user);

@@ -7,7 +7,7 @@
 //! Each generator composes the `oscache-kernel` services (page faults,
 //! fork/exec, scheduling, gang barriers, cross-processor interrupts, file
 //! I/O) with user-program models into a deterministic 4-CPU
-//! [`oscache_trace::Trace`]. Activity rates are calibrated so the trace's
+//! [`oscache_trace::ChunkedTrace`]. Activity rates are calibrated so the trace's
 //! structure matches the paper's measurements: execution-time split
 //! (Table 1), operating-system miss breakdown (Table 2), block-operation
 //! characteristics and size mix (Tables 3–4), and coherence-miss
@@ -21,6 +21,7 @@
 //! let trace = build(Workload::Shell, BuildOptions { scale: 0.05, seed: 1, ..Default::default() });
 //! assert_eq!(trace.n_cpus(), 4);
 //! assert!(trace.total_events() > 0);
+//! assert_eq!(trace.validate(), Ok(()));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -30,7 +31,6 @@ mod builder;
 mod user;
 
 pub use builder::{
-    build, build_chunked, build_chunked_shared, build_chunked_spilled, build_with_mix,
-    BuildOptions, Mix, TraceBuildKey, Workload, N_CPUS,
+    build, build_spilled, build_with_mix, BuildOptions, Mix, TraceBuildKey, Workload, N_CPUS,
 };
 pub use user::{UserProc, UserProgram, UserPrograms};

@@ -7,9 +7,9 @@
 //! cargo run --release --example coherence_lab [workload]
 //! ```
 
-use oscache::core::analysis::{find_privatizable, find_update_set, profile_sharing_chunked};
+use oscache::core::analysis::{find_privatizable, find_update_set, profile_sharing};
 use oscache::core::{run_spec, Geometry, System, UpdatePolicy};
-use oscache::workloads::{build_chunked, BuildOptions, Workload};
+use oscache::workloads::{build, BuildOptions, Workload};
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "TRFD_4".into());
@@ -19,7 +19,7 @@ fn main() {
         .unwrap_or(Workload::Trfd4);
 
     println!("building {workload} ...");
-    let trace = build_chunked(
+    let trace = build(
         workload,
         BuildOptions {
             scale: 0.2,
@@ -28,7 +28,7 @@ fn main() {
     );
 
     // The automated stand-in for the paper's manual monitor-driven analysis.
-    let profile = profile_sharing_chunked(&trace);
+    let profile = profile_sharing(&trace);
     let privatized = find_privatizable(&profile);
     println!("\nprivatizable counters found ({}):", privatized.len());
     for a in &privatized {

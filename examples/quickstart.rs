@@ -6,7 +6,7 @@
 //! ```
 
 use oscache::core::{run_system, OsTimeBreakdown, RunResult, System, WorkloadMetrics};
-use oscache::workloads::{build_chunked, BuildOptions, Workload};
+use oscache::workloads::{build, BuildOptions, Workload};
 
 fn main() {
     let scale: f64 = std::env::args()
@@ -15,7 +15,7 @@ fn main() {
         .unwrap_or(0.2);
 
     println!("building the TRFD_4 workload (scale {scale}) ...");
-    let trace = build_chunked(
+    let trace = build(
         Workload::Trfd4,
         BuildOptions {
             scale,

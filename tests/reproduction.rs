@@ -8,7 +8,7 @@ use oscache::core::{
     run_spec, run_system, Geometry, MissBreakdown, OsTimeBreakdown, System, UpdatePolicy,
     WorkloadMetrics,
 };
-use oscache::workloads::{build_chunked, BuildOptions, Workload};
+use oscache::workloads::{build, BuildOptions, Workload};
 use oscache_trace::ChunkedTrace;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -22,7 +22,7 @@ fn trace(w: Workload) -> Arc<ChunkedTrace> {
     guard
         .entry(w.name())
         .or_insert_with(|| {
-            Arc::new(build_chunked(
+            Arc::new(build(
                 w,
                 BuildOptions {
                     scale: SCALE,
@@ -267,7 +267,7 @@ fn deferred_copy_saves_little() {
 
 #[test]
 fn traces_are_reproducible_end_to_end() {
-    let a = build_chunked(
+    let a = build(
         Workload::Arc2dFsck,
         BuildOptions {
             scale: 0.05,
@@ -275,7 +275,7 @@ fn traces_are_reproducible_end_to_end() {
             ..Default::default()
         },
     );
-    let b = build_chunked(
+    let b = build(
         Workload::Arc2dFsck,
         BuildOptions {
             scale: 0.05,
@@ -298,7 +298,7 @@ fn scalability_extension_holds_directionally() {
     // yet the optimization ladder keeps working.
     let mut prev_busy = 0.0;
     for n_cpus in [2usize, 4, 8] {
-        let t = build_chunked(
+        let t = build(
             Workload::Trfd4,
             BuildOptions {
                 scale: 0.05,
